@@ -100,13 +100,14 @@ struct BreakerOptions {
 /// tuned and scheduled through a single shared skyline pass, so one
 /// dataflow's build ops can pack into another's idle slots.
 ///
-/// Off by default: with `max_batch` 1 the batch path is never entered and
-/// the open loop is bit-identical to the one-at-a-time service. Batching is
+/// Off by default: with `max_batch` 1 every batch has one member, which
+/// keeps the tuner's own decision, so the open loop is bit-identical to the
+/// one-at-a-time service. Batching is
 /// work-conserving — the window never delays a dequeue to wait for future
 /// arrivals; it only merges entries that are already queued.
 struct BatchOptions {
   /// Dataflows tuned + scheduled per admission batch (1 = off). Size-1
-  /// batches take the classic one-at-a-time path verbatim.
+  /// batches skip the merge and keep the tuner's own decision.
   int max_batch = 1;
   /// Arrival window, in quanta: a pending entry joins the batch only when
   /// its arrival is within this many quanta of the batch head's arrival.

@@ -112,6 +112,7 @@ JournalRecord Journal::MakeRecord(JournalRecordType type, StageBoundary stage,
 }
 
 void Journal::AppendStage(StageBoundary stage, Seconds at, int64_t items) {
+  if (!opts_.enabled) return;
   uint64_t digest = FnvBits(FnvMix(kFnvOffset, static_cast<uint64_t>(items)), at);
   records_.push_back(MakeRecord(JournalRecordType::kStage, stage,
                                 32 + 8 * items, digest));
@@ -119,6 +120,7 @@ void Journal::AppendStage(StageBoundary stage, Seconds at, int64_t items) {
 }
 
 void Journal::AppendArrival(int dataflow_id, Seconds at) {
+  if (!opts_.enabled) return;
   uint64_t digest =
       FnvBits(FnvMix(kFnvOffset, static_cast<uint64_t>(dataflow_id)), at);
   records_.push_back(MakeRecord(JournalRecordType::kArrival,

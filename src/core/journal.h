@@ -229,12 +229,13 @@ class Journal {
   bool enabled() const { return opts_.enabled; }
   const JournalOptions& options() const { return opts_; }
 
-  /// Appends one stage-completion record to the open segment. `items` is
-  /// the payload cardinality (history rows, deleted paths, stamps...) and
-  /// only feeds the deterministic byte estimate.
+  /// Appends one stage-completion record to the open segment; no-op while
+  /// disabled. `items` is the payload cardinality (history rows, deleted
+  /// paths, stamps...) and only feeds the deterministic byte estimate.
   void AppendStage(StageBoundary stage, Seconds at, int64_t items);
 
-  /// Appends one arrival record (a dataflow pulled from the client).
+  /// Appends one arrival record (a dataflow pulled from the client); no-op
+  /// while disabled.
   void AppendArrival(int dataflow_id, Seconds at);
 
   /// Group commit: writes a snapshot record; the open segment and the

@@ -1,6 +1,5 @@
 #include "core/service.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <algorithm>
 #include <limits>
@@ -283,14 +282,20 @@ Result<TunerDecision> QaasService::BaselineDecision(const Dataflow& df,
 
 namespace {
 
-/// Deterministic per-persist-attempt key (FNV-1a over the partition path
-/// plus the retry number) for the storage-fault draws.
-uint64_t PersistKey(const std::string& index_id, int partition, int retry) {
+/// FNV-1a over an object path (the object key of the bit-rot draw).
+uint64_t PathHash(const std::string& s) {
   uint64_t h = 0xcbf29ce484222325ULL;
-  for (char ch : index_id) {
+  for (char ch : s) {
     h ^= static_cast<unsigned char>(ch);
     h *= 0x100000001b3ULL;
   }
+  return h;
+}
+
+/// Deterministic per-persist-attempt key (FNV-1a over the partition path
+/// plus the retry number) for the storage-fault draws.
+uint64_t PersistKey(const std::string& index_id, int partition, int retry) {
+  uint64_t h = PathHash(index_id);
   h ^= static_cast<uint64_t>(partition) * 0x9e3779b97f4a7c15ULL;
   h *= 0x100000001b3ULL;
   h ^= static_cast<uint64_t>(retry);
@@ -301,16 +306,6 @@ uint64_t PersistKey(const std::string& index_id, int partition, int retry) {
 /// be independent of the primary's. Bit 60 keeps it disjoint from the
 /// simulator's read-hedge (bit 62) and clone (bit 61) salts.
 constexpr uint64_t kPersistHedgeBit = 1ULL << 60;
-
-/// FNV-1a over an object path (the object key of the bit-rot draw).
-uint64_t PathHash(const std::string& s) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (char ch : s) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 }  // namespace
 
@@ -508,36 +503,35 @@ Result<TunerDecision> QaasService::Decide(const Dataflow& df, Seconds start,
   const bool tuned = opts_.policy == IndexPolicy::kGain ||
                      opts_.policy == IndexPolicy::kGainNoDelete;
   TunerDecision decision;
-  if (tuned && build_fraction <= 0) {
-    // Full brownout: skip the tuning step entirely — schedule the bare
-    // dataflow, no build ops, no deletions. History is still recorded by
-    // the caller so gains keep accumulating for when pressure subsides.
-    // Every unbuilt candidate the tuner might have picked counts as shed
-    // (an upper-bound proxy; the tuner was never consulted).
+  if (!tuned || build_fraction <= 0) {
+    // Baseline policies, and full brownout under a tuned one: the latter
+    // skips the tuning step entirely — the bare dataflow, no build ops, no
+    // deletions. History is still recorded by the caller so gains keep
+    // accumulating for when pressure subsides. Every unbuilt candidate the
+    // tuner might have picked counts as shed (an upper-bound proxy; the
+    // tuner was never consulted).
     DFIM_ASSIGN_OR_RETURN(decision, BaselineDecision(df, fleet_bound));
     for (const auto& idx : df.candidate_indexes) {
-      if (!tuner_.IsBuilt(idx)) ++decision.builds_shed;
+      if (tuned && !tuner_.IsBuilt(idx)) ++decision.builds_shed;
     }
-  } else if (tuned) {
+  } else {
     DFIM_ASSIGN_OR_RETURN(
         decision,
         tuner_.OnDataflow(df, history_, start,
                           opts_.resumable_builds ? &build_progress_ : nullptr,
                           build_fraction, fleet_bound));
-  } else {
-    DFIM_ASSIGN_OR_RETURN(decision, BaselineDecision(df, fleet_bound));
   }
   metrics->builds_shed += decision.builds_shed;
   return decision;
 }
 
-Result<QaasService::RunOutcome> QaasService::RunOne(const Dataflow& df,
-                                                    Seconds start,
-                                                    ServiceMetrics* metrics,
-                                                    double build_fraction) {
-  RunOutcome crashed_out;
-  crashed_out.crashed = true;
-  if (MaybeCtlCrash()) return crashed_out;  // b0: pre-Decide
+Result<QaasService::RunOutcome> QaasService::StartRun(
+    ServiceMetrics* metrics) {
+  const std::vector<PendingDataflow>& batch = loop_->batch;
+  const Seconds start = loop_->start;
+  const double build_fraction = loop_->build_fraction;
+  const RunOutcome crashed{.crashed = true};
+  if (MaybeCtlCrash()) return crashed;  // b0: pre-Decide
   // Background scrub first (DESIGN.md §12): latent rot caught here is
   // quarantined before the tuner consults the catalog, so this very
   // decision already plans around (and can repair) the loss.
@@ -549,14 +543,23 @@ Result<QaasService::RunOutcome> QaasService::RunOne(const Dataflow& df,
   // the real, smaller fleet. Inert (configured cap, zero wait) when the
   // elastic machinery is off.
   const FleetPlan fleet_plan = PrepareFleet(start, metrics);
+  // Every member is tuned against the same catalog/history snapshot.
+  std::vector<TunerDecision> decisions;
+  decisions.reserve(batch.size());
+  for (const auto& p : batch) {
+    DFIM_ASSIGN_OR_RETURN(
+        TunerDecision d,
+        Decide(p.df, start, metrics, build_fraction, fleet_plan.bound));
+    decisions.push_back(std::move(d));
+  }
   DFIM_ASSIGN_OR_RETURN(
       TunerDecision decision,
-      Decide(df, start, metrics, build_fraction, fleet_plan.bound));
+      MergeDecisions(std::move(decisions), fleet_plan.bound, build_fraction));
 
   // Bind-time verification and repair packing (DESIGN.md §12; both no-ops
   // with the integrity knobs at their defaults). Verification runs before
   // repair scheduling so a partition that just failed can be repaired in
-  // this same dataflow's idle slots.
+  // this same iteration's idle slots.
   if (opts_.integrity.verify_reads) {
     VerifyIndexBindings(&decision, start, metrics);
   }
@@ -566,7 +569,9 @@ Result<QaasService::RunOutcome> QaasService::RunOne(const Dataflow& df,
 
   // The decision is final: commit it as the in-flight B-phase state. A
   // crash past this point resumes from here — the A-phase (whose scrub
-  // verifies and quarantine deletes already happened) never re-runs.
+  // verifies and quarantine deletes already happened) never re-runs. One
+  // execution covers the whole batch (the head member keys the fault draws
+  // and the adaptive speculation watermark in FinishRun).
   in_flight_ = InFlightDecision{std::move(decision), fleet_plan.wait};
   if (JournalOn()) {
     journal_.AppendStage(
@@ -574,7 +579,7 @@ Result<QaasService::RunOutcome> QaasService::RunOne(const Dataflow& df,
         static_cast<int64_t>(in_flight_->decision.combined.num_ops()));
     CommitJournal(ServiceSnapshot::Kind::kPreExecute, *metrics);
   }
-  if (MaybeCtlCrash()) return crashed_out;  // b1: pre-Execute
+  if (MaybeCtlCrash()) return crashed;  // b1: pre-Execute
   return FinishRun(metrics);
 }
 
@@ -582,10 +587,8 @@ Result<QaasService::RunOutcome> QaasService::FinishRun(
     ServiceMetrics* metrics) {
   const std::vector<PendingDataflow>& batch = loop_->batch;
   const Seconds start = loop_->start;
-  const bool is_batch = batch.size() > 1;
   InFlightDecision& fl = *in_flight_;
-  RunOutcome crashed_out;
-  crashed_out.crashed = true;
+  const RunOutcome crashed{.crashed = true};
 
   DFIM_ASSIGN_OR_RETURN(
       ExecOutcome exec,
@@ -595,39 +598,28 @@ Result<QaasService::RunOutcome> QaasService::FinishRun(
     journal_.mutable_ledger()->recovery_replay_quanta +=
         exec.elapsed / opts_.tuner.sched.quantum;
   }
-  if (JournalOn()) {
-    journal_.AppendStage(StageBoundary::kExecute, start + exec.elapsed,
-                         static_cast<int64_t>(exec.total_leased));
-  }
-  if (MaybeCtlCrash()) return crashed_out;  // b2: pre-RecordHistory
+  journal_.AppendStage(StageBoundary::kExecute, start + exec.elapsed,
+                       static_cast<int64_t>(exec.total_leased));
+  if (MaybeCtlCrash()) return crashed;  // b2: pre-RecordHistory
 
-  // ExecuteDecision counted one failure; a failed batch loses every member.
-  if (is_batch && exec.failed) {
-    metrics->dataflows_failed += static_cast<int>(batch.size()) - 1;
-  }
   const Seconds quantum = opts_.tuner.sched.quantum;
   const Seconds finish = start + exec.elapsed;
-  if (!exec.failed) {
-    if (is_batch) {
-      // Per-member history: members share the realized makespan (they ran
-      // as one merged schedule) and split the VM bill into equal shares, so
-      // the batch's total money matches the one-at-a-time accounting
-      // identity.
-      const double share =
-          static_cast<double>(exec.total_leased) / batch.size();
-      for (const auto& p : batch) {
-        RecordHistory(p.df, finish, exec.elapsed / quantum, share);
-      }
-    } else {
-      RecordHistory(batch.front().df, finish, exec.elapsed / quantum,
-                    static_cast<double>(exec.total_leased));
+  if (exec.failed) {
+    // ExecuteDecision counted one failure; a failed batch loses every member.
+    metrics->dataflows_failed += static_cast<int>(batch.size()) - 1;
+  } else {
+    // Per-member history: members share the realized makespan (they ran as
+    // one merged schedule) and split the VM bill into equal shares, so a
+    // batch's total money matches the one-at-a-time accounting identity.
+    const double share =
+        static_cast<double>(exec.total_leased) / batch.size();
+    for (const auto& p : batch) {
+      RecordHistory(p.df, finish, exec.elapsed / quantum, share);
     }
   }
-  if (JournalOn()) {
-    journal_.AppendStage(StageBoundary::kRecordHistory, finish,
-                         static_cast<int64_t>(batch.size()));
-  }
-  if (MaybeCtlCrash()) return crashed_out;  // b3: pre-ApplyDeletions
+  journal_.AppendStage(StageBoundary::kRecordHistory, finish,
+                       static_cast<int64_t>(batch.size()));
+  if (MaybeCtlCrash()) return crashed;  // b3: pre-ApplyDeletions
 
   if (!exec.failed) {
     ApplyDeletions(fl.decision.to_delete, finish, metrics);
@@ -636,31 +628,25 @@ Result<QaasService::RunOutcome> QaasService::FinishRun(
   SettleStorage(settled);
   // Server occupancy: the iteration held the service for one makespan.
   metrics->total_time_quanta += exec.elapsed / quantum;
-  if (is_batch) {
+  if (batch.size() > 1) {
     ++metrics->dataflow_batches;
     metrics->batched_dataflows += static_cast<int>(batch.size());
   }
   HarvestFleet(metrics);
-  if (JournalOn()) {
-    journal_.AppendStage(StageBoundary::kApplyDeletions, finish,
-                         static_cast<int64_t>(fl.decision.to_delete.size()));
-  }
-  if (MaybeCtlCrash()) return crashed_out;  // b4: pre-StampTimeline
+  journal_.AppendStage(StageBoundary::kApplyDeletions, finish,
+                       static_cast<int64_t>(fl.decision.to_delete.size()));
+  if (MaybeCtlCrash()) return crashed;  // b4: pre-StampTimeline
 
   if (JournalOn()) HarvestJournal(metrics);
-  // One timeline point per member (the open loop re-stamps queue state).
-  const int stamps = is_batch ? static_cast<int>(batch.size()) : 1;
+  // One timeline point per member (Run re-stamps them after its finish
+  // accounting).
+  const int stamps = static_cast<int>(batch.size());
   for (int i = 0; i < stamps; ++i) {
     StampTimeline(finish, exec.elapsed / quantum, metrics);
   }
-  if (JournalOn()) {
-    journal_.AppendStage(StageBoundary::kStampTimeline, finish, stamps);
-  }
-  RunOutcome out;
-  out.finish = finish;
-  out.failed = exec.failed;
-  out.settled = settled;
-  return out;
+  journal_.AppendStage(StageBoundary::kStampTimeline, finish, stamps);
+  return RunOutcome{
+      .finish = finish, .failed = exec.failed, .settled = settled};
 }
 
 Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
@@ -681,38 +667,35 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
   const Dag* cur_dag = &decision->combined;
   const Schedule* cur_plan = &decision->chosen;
   const std::vector<SimOpCost>* cur_costs = &decision->costs;
-  Dag suffix_dag;
+  RecoverySuffix suffix;
   Schedule suffix_plan;
-  std::vector<SimOpCost> suffix_costs;
-  std::vector<int> orig_ids;  // suffix op id -> combined op id (attempt > 0)
 
   // Mandatory ops (combined-id space) that completed on a still-live
   // container across attempts.
   std::vector<char> done(decision->combined.num_ops(), 0);
   // The elastic fleet may have waited out a boot delay or an acquire
-  // backoff before a single usable container existed.
-  Seconds elapsed = initial_wait;
-  int64_t total_leased = 0;
-  bool failed = false;
-  // Builds may complete inside the already-paid lease tail past the
-  // dataflow makespan, so their persist times can exceed `finish`; storage
-  // must settle through the latest Put, not just the dataflow's end.
-  Seconds last_persist = 0;
+  // backoff before a single usable container existed. Builds may complete
+  // inside the already-paid lease tail past the dataflow makespan, so
+  // `last_persist` can exceed the finish; storage must settle through the
+  // latest Put, not just the dataflow's end.
+  ExecOutcome out;
+  out.elapsed = initial_wait;
 
   for (int attempt = 0;; ++attempt) {
+    const Seconds t0 = start + out.elapsed;
     int nc = std::max(1, cur_plan->num_containers());
     std::vector<Container*> containers;
     if (ElasticActive()) {
       // Best-effort elastic acquisition: only containers usable right now
       // (booted, outside any reclaim-notice window). The plan was bounded
       // by PrepareFleet at this same instant, so this normally covers nc.
-      AcquireOutcome got = fleet_.AcquireUsable(nc, start + elapsed);
+      AcquireOutcome got = fleet_.AcquireUsable(nc, t0);
       containers = std::move(got.usable);
     }
     if (static_cast<int>(containers.size()) < nc) {
       // Fixed-fleet path — or the elastic fleet shrank between planning and
       // acquisition; the strict path guarantees the plan its containers.
-      containers = AcquireContainers(nc, start + elapsed);
+      containers = AcquireContainers(nc, t0);
     }
     sim.seed = opts_.seed ^ (static_cast<uint64_t>(df.id) * 0x9e3779b9ULL);
     if (attempt > 0) {
@@ -733,7 +716,6 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
       // doomed container through its notice window and charges nothing past
       // the reclaim (DESIGN.md §13).
       if (opts_.faults.preempt_rate > 0) {
-        const Seconds t0 = start + elapsed;
         for (int c = 0; c < nc && c < static_cast<int>(containers.size());
              ++c) {
           const Seconds at = containers[static_cast<size_t>(c)]->preempt_at();
@@ -761,7 +743,7 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
       // would double-trip it — suppress hedging while the breaker is open.
       if (fi.spec.hedge_reads && opts_.breaker.open_after > 0 &&
           breaker_state_ == BreakerState::kOpen &&
-          start + elapsed < breaker_open_until_) {
+          t0 < breaker_open_until_) {
         fi.spec.suppress_hedges = true;
       }
       fip = &fi;
@@ -770,255 +752,9 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
                           simulator.Run(*cur_dag, *cur_plan, *cur_costs,
                                         &containers, fip));
 
-    // Lease bookkeeping: extend each container through its realized end
-    // (Timeline::last_end() is the per-container high-water mark).
-    std::vector<Timeline> actual_tls = exec.actual.BuildTimelines();
-    for (int c = 0; c < nc && c < static_cast<int>(actual_tls.size()); ++c) {
-      Seconds last = actual_tls[static_cast<size_t>(c)].last_end();
-      if (last > 0) {
-        fleet_.ChargeThrough(containers[static_cast<size_t>(c)],
-                             start + elapsed + last);
-      }
-    }
-
-    // Crashed/reclaimed containers are gone: the provider stops charging
-    // and their local disks — caches, staged outputs, partial builds — are
-    // lost (paper §3). Evict them from the fleet so the next acquisition
-    // leases fresh, cold containers; the ledger distinguishes provider
-    // reclaims from plain crashes.
-    if (!exec.failed_containers.empty()) {
-      for (size_t i = 0; i < exec.failed_containers.size(); ++i) {
-        const int c = exec.failed_containers[i];
-        const bool preempted = i < exec.failure_preempted.size() &&
-                               exec.failure_preempted[i] != 0;
-        fleet_.RemoveFailed(containers[static_cast<size_t>(c)], preempted);
-      }
-      metrics->containers_failed +=
-          static_cast<int>(exec.failed_containers.size());
-    }
-    metrics->storage_faults += exec.storage_faults;
-    metrics->storage_reads += exec.storage_reads;
-    metrics->ops_speculated += exec.ops_speculated;
-    metrics->spec_wins += exec.spec_wins;
-    metrics->spec_cancelled += exec.spec_cancelled;
-    metrics->spec_cancelled_quanta +=
-        exec.spec_cancelled_seconds / sim.quantum;
-    metrics->hedged_reads += exec.hedged_reads;
-    metrics->hedge_wins += exec.hedge_wins;
-    metrics->verified_reads += exec.verified_reads;
-    metrics->degraded_reads += exec.corrupt_reads;
-
-    // Register completed index partitions. Each is persisted to the storage
-    // service at completion; under fault injection the Put may fail
-    // transiently and retries with capped exponential backoff. A partition
-    // that was never persisted gets no catalog entry — a dead container
-    // cannot resend from its lost local disk, so its builds get only the
-    // completion-time attempt.
-    Seconds persist_delay = 0;
-    for (const auto& b : exec.builds) {
-      bool container_died = false;
-      for (int c : exec.failed_containers) {
-        container_died |= c == b.container;
-      }
-      // Which retry round landed the persist (its draws key the integrity
-      // stamps), and whether a hedged duplicate double-landed.
-      int landed_attempt = 0;
-      bool double_landed = false;
-      if (inject) {
-        const bool breaker_on = opts_.breaker.open_after > 0;
-        Seconds persist_at = start + elapsed + b.finish;
-        if (breaker_on && breaker_state_ == BreakerState::kOpen) {
-          if (persist_at >= breaker_open_until_) {
-            breaker_state_ = BreakerState::kHalfOpen;
-          } else {
-            // Breaker open: the persist path is known-bad; skip the Put
-            // outright instead of burning retries and backoff delay.
-            ++metrics->builds_discarded;
-            continue;
-          }
-        }
-        int retries = container_died ? 0 : opts_.storage_put_max_retries;
-        // A half-open breaker allows exactly one probe attempt.
-        if (breaker_on && breaker_state_ == BreakerState::kHalfOpen) {
-          retries = 0;
-        }
-        // Hedged persists (DESIGN.md §12): each round issues one duplicate
-        // under a salted key and proceeds if either lands. Only while the
-        // breaker is fully closed — an open breaker skips persists outright
-        // and a half-open probe must stay a single request.
-        const bool hedge_persist =
-            fi.spec.hedge_persists &&
-            (!breaker_on || breaker_state_ == BreakerState::kClosed);
-        bool persisted = false;
-        bool primary_ok = false;
-        Seconds backoff = opts_.storage_backoff_initial;
-        for (int r = 0; r <= retries; ++r) {
-          const uint64_t pkey = PersistKey(b.index_id, b.partition, r);
-          if (!fault_model.StorageOpFaults(fi.run_key, pkey)) {
-            persisted = true;
-            primary_ok = true;
-            landed_attempt = r;
-            if (hedge_persist) {
-              ++metrics->hedged_persists;
-              // The duplicate was issued concurrently; when it also lands,
-              // the double landing must be absorbed by the idempotency
-              // token below.
-              double_landed = !fault_model.StorageOpFaults(
-                  fi.run_key, pkey | kPersistHedgeBit);
-            }
-            break;
-          }
-          if (hedge_persist) {
-            ++metrics->hedged_persists;
-            if (!fault_model.StorageOpFaults(fi.run_key,
-                                             pkey | kPersistHedgeBit)) {
-              // The hedge landed while the primary faulted: the persist
-              // succeeds, but the primary's fault still advances the
-              // breaker below.
-              persisted = true;
-              landed_attempt = r;
-              ++metrics->persist_hedge_wins;
-            }
-          }
-          ++metrics->storage_retries;
-          if (breaker_on) {
-            ++breaker_faults_;
-            if (breaker_state_ == BreakerState::kHalfOpen ||
-                breaker_faults_ >= opts_.breaker.open_after) {
-              // Trip (or re-trip after a failed half-open probe).
-              breaker_state_ = BreakerState::kOpen;
-              breaker_open_until_ = persist_at + opts_.breaker.open_duration;
-              breaker_faults_ = 0;
-              ++metrics->breaker_opens;
-              break;
-            }
-          }
-          if (persisted) break;  // the hedge saved the round: no backoff
-          if (r < retries) {
-            persist_delay += backoff;
-            backoff = std::min(backoff * 2.0, opts_.storage_backoff_cap);
-          }
-        }
-        if (persisted && primary_ok && breaker_on) {
-          // A primary success closes the breaker (half-open probe) and
-          // resets the consecutive-fault count. A hedge win does not: it
-          // masked a primary fault, it did not disprove it.
-          breaker_faults_ = 0;
-          breaker_state_ = BreakerState::kClosed;
-        }
-        if (!persisted) {
-          ++metrics->builds_discarded;
-          continue;
-        }
-      }
-      Seconds built_at = start + elapsed + b.finish;
-      // A build landing on a quarantined partition is the repair arriving
-      // (MarkIndexPartitionBuilt lifts the quarantine).
-      const bool was_quarantined =
-          catalog_->IsQuarantined(b.index_id, b.partition);
-      Status st =
-          catalog_->MarkIndexPartitionBuilt(b.index_id, b.partition, built_at);
-      if (st.ok()) {
-        auto def = catalog_->GetIndexDef(b.index_id);
-        auto state = catalog_->GetIndexState(b.index_id);
-        if (def.ok() && state.ok()) {
-          const auto& part = (*state)->part(static_cast<size_t>(b.partition));
-          const std::string path = (*def)->PartitionPath(b.partition);
-          PutStamp stamp;
-          if (inject && opts_.faults.corruption_enabled()) {
-            // Integrity stamps (DESIGN.md §12), keyed by the attempt that
-            // landed: a crash-interrupted persist (dead container) is
-            // likelier torn; latent rot is pre-drawn against the
-            // generation this Put will create.
-            stamp.torn = fault_model.TornWrite(
-                fi.run_key,
-                PersistKey(b.index_id, b.partition, landed_attempt),
-                container_died);
-            int64_t max_q =
-                QuantaCeil(std::max(opts_.total_time - built_at, sim.quantum),
-                           sim.quantum) +
-                8;
-            stamp.rot_at = fault_model.BitRotOnset(
-                PathHash(path), storage_.Generation(path) + 1, built_at,
-                sim.quantum, max_q);
-          }
-          if (fi.spec.hedge_persists || JournalOn()) {
-            // Idempotency token: both landings of a hedged persist carry
-            // it, so a double landing is a no-op at the same generation.
-            // The journal sets it on *every* persist — recovery replay
-            // re-resolves in-flight persists exactly-once through it (a
-            // landing that survived the crash is acknowledged, never
-            // re-billed; one that did not is re-issued).
-            stamp.token =
-                PersistKey(b.index_id, b.partition, landed_attempt) | 1ULL;
-          }
-          // Persist batches land out of order across dataflows: a previous
-          // dataflow's late persist (deep in its paid lease tail — repair
-          // builds pack there) may have settled storage past this build's
-          // completion. Bill from the high-water mark, which is what
-          // StorageService's settle clamp would do anyway, without tripping
-          // the clock-regression counter.
-          Seconds persist_at = std::max(built_at, BillingClock());
-          // Cross-shard fairness gate (sharded service only): a hot shard's
-          // persists past its fair share are delayed to the next window,
-          // extending the dataflow's wall time like persist backoff does.
-          // Under the journal the gate — shared, unrestorable state — is
-          // consulted exactly once per logical persist: the first execution
-          // records each outcome, a recovery replay consumes the records.
-          if (persist_gate_ != nullptr) {
-            ++metrics->gate_puts;
-            Seconds gd = 0;
-            if (!JournalOn()) {
-              gd = persist_gate_->OnPersist(gate_shard_, persist_at);
-            } else if (!journal_.NextGateOutcome(&gd)) {
-              gd = persist_gate_->OnPersist(gate_shard_, persist_at);
-              journal_.RecordGateOutcome(gd);
-            }
-            if (gd > 0) {
-              ++metrics->gate_throttled;
-              metrics->gate_throttle_quanta += gd / sim.quantum;
-              persist_delay += gd;
-              persist_at += gd;
-            }
-          }
-          BumpClockMirror(persist_at);
-          // Exactly-once replay accounting: a persist whose pre-crash
-          // landing survives in storage dedupes by token (same generation,
-          // stamps ignored, nothing re-billed).
-          if (recovering_ && stamp.token != 0 &&
-              storage_.TokenMatches(path, stamp.token)) {
-            ++journal_.mutable_ledger()->persists_deduped;
-          }
-          int64_t gen = storage_.Put(path, part.size, persist_at, stamp);
-          if (double_landed) {
-            storage_.Put(path, part.size, persist_at, stamp);
-            ++metrics->idempotent_replays;
-          }
-          (void)catalog_->SetPartitionGeneration(b.index_id, b.partition,
-                                                 gen);
-          last_persist = std::max(last_persist, persist_at);
-        }
-        ++metrics->index_partitions_built;
-        if (was_quarantined) ++metrics->repairs_completed;
-        // A fresh build counts as a reference: the grace clock starts now.
-        auto [it, inserted] = last_useful_.try_emplace(b.index_id, built_at);
-        if (!inserted) it->second = std::max(it->second, built_at);
-        if (opts_.resumable_builds) {
-          build_progress_.erase({b.index_id, b.partition});
-        }
-      }
-    }
-    if (opts_.resumable_builds) {
-      // Preempted builds keep their progress; crash-lost builds do not
-      // (they are in lost_ops, not kills — the partial work died with the
-      // container's disk).
-      for (const auto& k : exec.kills) {
-        // A build preempted before it got any CPU leaves no useful progress.
-        if (k.ran_for > 0) {
-          build_progress_[{k.index_id, k.partition}] += k.ran_for;
-        }
-      }
-    }
+    ChargeAttempt(exec, containers, t0, metrics);
+    const Seconds persist_delay =
+        LandBuilds(exec, fi, t0, metrics, &out.last_persist);
 
     // Attempt accounting. The realized span covers completed work and the
     // crash instants; persist backoff extends the dataflow's wall time.
@@ -1026,8 +762,8 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
     for (Seconds t : exec.failure_times) {
       attempt_end = std::max(attempt_end, t);
     }
-    elapsed += attempt_end + persist_delay;
-    total_leased += exec.leased_quanta;
+    out.elapsed += attempt_end + persist_delay;
+    out.total_leased += exec.leased_quanta;
     metrics->total_vm_quanta += exec.leased_quanta;
     metrics->total_ops += exec.executed_ops;
     metrics->killed_ops += exec.killed_builds;
@@ -1040,7 +776,7 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
 
     // ---- Recovery: compute the unfinished suffix (combined-id space). ----
     if (attempt >= opts_.max_recovery_attempts) {
-      failed = true;
+      out.failed = true;
       ++metrics->dataflows_failed;
       break;
     }
@@ -1051,110 +787,294 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
     if (opts_.admission.retry_budget >= 0) {
       if (retry_budget_left_ <= 0) {
         ++metrics->retries_denied;
-        failed = true;
+        out.failed = true;
         ++metrics->dataflows_failed;
         break;
       }
       --retry_budget_left_;
     }
-    auto to_orig = [&](int local) {
-      return attempt == 0 ? local : orig_ids[static_cast<size_t>(local)];
-    };
-    std::set<int> needed;
-    for (const auto& l : exec.lost_ops) {
-      if (!l.optional) needed.insert(to_orig(l.op_id));
-    }
-    // Producers that finished this attempt on a crashed container lost
-    // their outputs with the local disk: any such producer feeding a needed
-    // op must re-run too (transitively).
-    std::set<int> crashed(exec.failed_containers.begin(),
-                          exec.failed_containers.end());
-    std::vector<int> cur_placed(cur_dag->num_ops(), -1);
-    for (const auto& a : cur_plan->assignments()) {
-      cur_placed[static_cast<size_t>(a.op_id)] = a.container;
-    }
-    std::vector<char> ran_here(decision->combined.num_ops(), 0);
-    std::vector<int> on_crashed;  // combined ids finished on dead containers
-    for (const auto& op : cur_dag->ops()) {
-      if (op.optional) continue;
-      int orig = to_orig(op.id);
-      ran_here[static_cast<size_t>(orig)] = 1;
-      if (crashed.count(cur_placed[static_cast<size_t>(op.id)]) > 0) {
-        on_crashed.push_back(orig);
-      }
-    }
-    std::sort(on_crashed.begin(), on_crashed.end());
-    for (bool grew = true; grew;) {
-      grew = false;
-      for (const auto& f : decision->combined.flows()) {
-        if (needed.count(f.to) == 0 || needed.count(f.from) > 0) continue;
-        if (std::binary_search(on_crashed.begin(), on_crashed.end(), f.from)) {
-          needed.insert(f.from);
-          grew = true;
-        }
-      }
-    }
-    // Everything that ran this attempt and is not needed again is done.
-    for (size_t i = 0; i < done.size(); ++i) {
-      if (ran_here[i] && needed.count(static_cast<int>(i)) == 0) done[i] = 1;
-    }
-
-    // ---- Build and schedule the suffix DAG. ------------------------------
-    std::map<int, int> remap;  // combined id -> suffix id (needed is sorted)
-    suffix_dag = Dag();
-    suffix_costs.clear();
-    orig_ids.clear();
-    for (int orig : needed) {
-      Operator op = decision->combined.op(orig);
-      int nid = suffix_dag.AddOperator(std::move(op));
-      remap[orig] = nid;
-      orig_ids.push_back(orig);
-      suffix_costs.push_back(decision->costs[static_cast<size_t>(orig)]);
-    }
-    std::vector<Seconds> suffix_durations;
-    for (int orig : needed) {
-      suffix_durations.push_back(
-          decision->durations[static_cast<size_t>(orig)]);
-    }
-    for (const auto& f : decision->combined.flows()) {
-      auto it_to = remap.find(f.to);
-      if (it_to == remap.end()) continue;
-      auto it_from = remap.find(f.from);
-      if (it_from != remap.end()) {
-        DFIM_RETURN_NOT_OK(
-            suffix_dag.AddFlow(it_from->second, it_to->second, f.size));
-      } else if (done[static_cast<size_t>(f.from)]) {
-        // The producer's output survives on a live container or can be
-        // restaged: the re-executed consumer re-pays the transfer as an
-        // external input (and its content no longer matches any cache key).
-        auto& cost = suffix_costs[static_cast<size_t>(it_to->second)];
-        cost.input_mb += f.size;
-        cost.cache_key.clear();
-        suffix_durations[static_cast<size_t>(it_to->second)] +=
-            f.size / opts_.tuner.sched.net_mb_per_sec;
-      }
-    }
+    DFIM_ASSIGN_OR_RETURN(
+        suffix, PlanRecoverySuffix(decision->combined, decision->costs,
+                                   decision->durations, *cur_dag, *cur_plan,
+                                   suffix.orig_ids, exec, sim.net_mb_per_sec,
+                                   &done));
     // Recovery replans against the fleet as it stands now: preempted or
     // crashed VMs are gone, and the elastic fleet may need to wait out a
     // boot or a denial backoff before a usable container exists again.
-    const FleetPlan recovery_plan = PrepareFleet(start + elapsed, metrics);
-    elapsed += recovery_plan.wait;
+    const FleetPlan recovery_plan = PrepareFleet(start + out.elapsed, metrics);
+    out.elapsed += recovery_plan.wait;
     SchedulerOptions recovery_sched = opts_.tuner.sched;
     if (recovery_plan.bound < recovery_sched.max_containers) {
       recovery_sched.max_containers = recovery_plan.bound;
     }
     SkylineScheduler rescheduler(recovery_sched);
     DFIM_ASSIGN_OR_RETURN(std::vector<Schedule> sky,
-                          rescheduler.ScheduleDag(suffix_dag, suffix_durations,
+                          rescheduler.ScheduleDag(suffix.dag, suffix.durations,
                                                   /*place_optional=*/false));
     if (sky.empty()) return Status::Internal("empty recovery skyline");
     suffix_plan = std::move(sky.front());
-    cur_dag = &suffix_dag;
+    cur_dag = &suffix.dag;
     cur_plan = &suffix_plan;
-    cur_costs = &suffix_costs;
+    cur_costs = &suffix.costs;
   }
 
-  return ExecOutcome{elapsed, total_leased, failed, last_persist};
+  return out;
+}
+
+void QaasService::ChargeAttempt(const ExecResult& exec,
+                                const std::vector<Container*>& containers,
+                                Seconds t0, ServiceMetrics* metrics) {
+  // Lease bookkeeping: extend each container through its realized end
+  // (Timeline::last_end() is the per-container high-water mark).
+  std::vector<Timeline> actual_tls = exec.actual.BuildTimelines();
+  for (size_t c = 0; c < containers.size() && c < actual_tls.size(); ++c) {
+    Seconds last = actual_tls[c].last_end();
+    if (last > 0) fleet_.ChargeThrough(containers[c], t0 + last);
+  }
+
+  // Crashed/reclaimed containers are gone: the provider stops charging
+  // and their local disks — caches, staged outputs, partial builds — are
+  // lost (paper §3). Evict them from the fleet so the next acquisition
+  // leases fresh, cold containers; the ledger distinguishes provider
+  // reclaims from plain crashes.
+  for (size_t i = 0; i < exec.failed_containers.size(); ++i) {
+    const int c = exec.failed_containers[i];
+    const bool preempted =
+        i < exec.failure_preempted.size() && exec.failure_preempted[i] != 0;
+    fleet_.RemoveFailed(containers[static_cast<size_t>(c)], preempted);
+  }
+  metrics->containers_failed += static_cast<int>(exec.failed_containers.size());
+  metrics->storage_faults += exec.storage_faults;
+  metrics->storage_reads += exec.storage_reads;
+  metrics->ops_speculated += exec.ops_speculated;
+  metrics->spec_wins += exec.spec_wins;
+  metrics->spec_cancelled += exec.spec_cancelled;
+  metrics->spec_cancelled_quanta +=
+      exec.spec_cancelled_seconds / opts_.tuner.sched.quantum;
+  metrics->hedged_reads += exec.hedged_reads;
+  metrics->hedge_wins += exec.hedge_wins;
+  metrics->verified_reads += exec.verified_reads;
+  metrics->degraded_reads += exec.corrupt_reads;
+}
+
+Seconds QaasService::LandBuilds(const ExecResult& exec,
+                               const FaultInjection& fi, Seconds t0,
+                               ServiceMetrics* metrics,
+                               Seconds* last_persist) {
+  const FaultModel* fault_model = fi.model;
+  const bool inject = fault_model != nullptr;
+  const Seconds quantum = opts_.tuner.sched.quantum;
+  // Register completed index partitions. Each is persisted to the storage
+  // service at completion; under fault injection the Put may fail
+  // transiently and retries with capped exponential backoff. A partition
+  // that was never persisted gets no catalog entry — a dead container
+  // cannot resend from its lost local disk, so its builds get only the
+  // completion-time attempt.
+  Seconds persist_delay = 0;
+  for (const auto& b : exec.builds) {
+    const bool container_died =
+        std::ranges::find(exec.failed_containers, b.container) !=
+        exec.failed_containers.end();
+    // Which retry round landed the persist (its draws key the integrity
+    // stamps), and whether a hedged duplicate double-landed.
+    int landed_attempt = 0;
+    bool double_landed = false;
+    if (inject) {
+      const bool breaker_on = opts_.breaker.open_after > 0;
+      Seconds persist_at = t0 + b.finish;
+      if (breaker_on && breaker_state_ == BreakerState::kOpen) {
+        if (persist_at >= breaker_open_until_) {
+          breaker_state_ = BreakerState::kHalfOpen;
+        } else {
+          // Breaker open: the persist path is known-bad; skip the Put
+          // outright instead of burning retries and backoff delay.
+          ++metrics->builds_discarded;
+          continue;
+        }
+      }
+      int retries = container_died ? 0 : opts_.storage_put_max_retries;
+      // A half-open breaker allows exactly one probe attempt.
+      if (breaker_on && breaker_state_ == BreakerState::kHalfOpen) {
+        retries = 0;
+      }
+      // Hedged persists (DESIGN.md §12): each round issues one duplicate
+      // under a salted key and proceeds if either lands. Only while the
+      // breaker is fully closed — an open breaker skips persists outright
+      // and a half-open probe must stay a single request.
+      const bool hedge_persist =
+          fi.spec.hedge_persists &&
+          (!breaker_on || breaker_state_ == BreakerState::kClosed);
+      bool persisted = false;
+      bool primary_ok = false;
+      Seconds backoff = opts_.storage_backoff_initial;
+      for (int r = 0; r <= retries; ++r) {
+        const uint64_t pkey = PersistKey(b.index_id, b.partition, r);
+        if (!fault_model->StorageOpFaults(fi.run_key, pkey)) {
+          persisted = true;
+          primary_ok = true;
+          landed_attempt = r;
+          if (hedge_persist) {
+            ++metrics->hedged_persists;
+            // The duplicate was issued concurrently; when it also lands,
+            // the double landing must be absorbed by the idempotency
+            // token below.
+            double_landed = !fault_model->StorageOpFaults(
+                fi.run_key, pkey | kPersistHedgeBit);
+          }
+          break;
+        }
+        if (hedge_persist) {
+          ++metrics->hedged_persists;
+          if (!fault_model->StorageOpFaults(fi.run_key,
+                                           pkey | kPersistHedgeBit)) {
+            // The hedge landed while the primary faulted: the persist
+            // succeeds, but the primary's fault still advances the
+            // breaker below.
+            persisted = true;
+            landed_attempt = r;
+            ++metrics->persist_hedge_wins;
+          }
+        }
+        ++metrics->storage_retries;
+        if (breaker_on) {
+          ++breaker_faults_;
+          if (breaker_state_ == BreakerState::kHalfOpen ||
+              breaker_faults_ >= opts_.breaker.open_after) {
+            // Trip (or re-trip after a failed half-open probe).
+            breaker_state_ = BreakerState::kOpen;
+            breaker_open_until_ = persist_at + opts_.breaker.open_duration;
+            breaker_faults_ = 0;
+            ++metrics->breaker_opens;
+            break;
+          }
+        }
+        if (persisted) break;  // the hedge saved the round: no backoff
+        if (r < retries) {
+          persist_delay += backoff;
+          backoff = std::min(backoff * 2.0, opts_.storage_backoff_cap);
+        }
+      }
+      if (persisted && primary_ok && breaker_on) {
+        // A primary success closes the breaker (half-open probe) and
+        // resets the consecutive-fault count. A hedge win does not: it
+        // masked a primary fault, it did not disprove it.
+        breaker_faults_ = 0;
+        breaker_state_ = BreakerState::kClosed;
+      }
+      if (!persisted) {
+        ++metrics->builds_discarded;
+        continue;
+      }
+    }
+    Seconds built_at = t0 + b.finish;
+    // A build landing on a quarantined partition is the repair arriving
+    // (MarkIndexPartitionBuilt lifts the quarantine).
+    const bool was_quarantined =
+        catalog_->IsQuarantined(b.index_id, b.partition);
+    Status st =
+        catalog_->MarkIndexPartitionBuilt(b.index_id, b.partition, built_at);
+    if (st.ok()) {
+      auto def = catalog_->GetIndexDef(b.index_id);
+      auto state = catalog_->GetIndexState(b.index_id);
+      if (def.ok() && state.ok()) {
+        const auto& part = (*state)->part(static_cast<size_t>(b.partition));
+        const std::string path = (*def)->PartitionPath(b.partition);
+        PutStamp stamp;
+        if (inject && opts_.faults.corruption_enabled()) {
+          // Integrity stamps (DESIGN.md §12), keyed by the attempt that
+          // landed: a crash-interrupted persist (dead container) is
+          // likelier torn; latent rot is pre-drawn against the
+          // generation this Put will create.
+          stamp.torn = fault_model->TornWrite(
+              fi.run_key,
+              PersistKey(b.index_id, b.partition, landed_attempt),
+              container_died);
+          int64_t max_q =
+              QuantaCeil(std::max(opts_.total_time - built_at, quantum),
+                         quantum) +
+              8;
+          stamp.rot_at = fault_model->BitRotOnset(
+              PathHash(path), storage_.Generation(path) + 1, built_at,
+              quantum, max_q);
+        }
+        if (fi.spec.hedge_persists || JournalOn()) {
+          // Idempotency token: both landings of a hedged persist carry
+          // it, so a double landing is a no-op at the same generation.
+          // The journal sets it on *every* persist — recovery replay
+          // re-resolves in-flight persists exactly-once through it (a
+          // landing that survived the crash is acknowledged, never
+          // re-billed; one that did not is re-issued).
+          stamp.token =
+              PersistKey(b.index_id, b.partition, landed_attempt) | 1ULL;
+        }
+        // Persist batches land out of order across dataflows: a previous
+        // dataflow's late persist (deep in its paid lease tail — repair
+        // builds pack there) may have settled storage past this build's
+        // completion. Bill from the high-water mark, which is what
+        // StorageService's settle clamp would do anyway, without tripping
+        // the clock-regression counter.
+        Seconds persist_at = std::max(built_at, BillingClock());
+        // Cross-shard fairness gate (sharded service only): a hot shard's
+        // persists past its fair share are delayed to the next window,
+        // extending the dataflow's wall time like persist backoff does.
+        // Under the journal the gate — shared, unrestorable state — is
+        // consulted exactly once per logical persist: the first execution
+        // records each outcome, a recovery replay consumes the records.
+        if (persist_gate_ != nullptr) {
+          ++metrics->gate_puts;
+          Seconds gd = 0;
+          if (!JournalOn()) {
+            gd = persist_gate_->OnPersist(gate_shard_, persist_at);
+          } else if (!journal_.NextGateOutcome(&gd)) {
+            gd = persist_gate_->OnPersist(gate_shard_, persist_at);
+            journal_.RecordGateOutcome(gd);
+          }
+          if (gd > 0) {
+            ++metrics->gate_throttled;
+            metrics->gate_throttle_quanta += gd / quantum;
+            persist_delay += gd;
+            persist_at += gd;
+          }
+        }
+        BumpClockMirror(persist_at);
+        // Exactly-once replay accounting: a persist whose pre-crash
+        // landing survives in storage dedupes by token (same generation,
+        // stamps ignored, nothing re-billed).
+        if (recovering_ && stamp.token != 0 &&
+            storage_.TokenMatches(path, stamp.token)) {
+          ++journal_.mutable_ledger()->persists_deduped;
+        }
+        int64_t gen = storage_.Put(path, part.size, persist_at, stamp);
+        if (double_landed) {
+          storage_.Put(path, part.size, persist_at, stamp);
+          ++metrics->idempotent_replays;
+        }
+        (void)catalog_->SetPartitionGeneration(b.index_id, b.partition,
+                                               gen);
+        *last_persist = std::max(*last_persist, persist_at);
+      }
+      ++metrics->index_partitions_built;
+      if (was_quarantined) ++metrics->repairs_completed;
+      // A fresh build counts as a reference: the grace clock starts now.
+      auto [it, inserted] = last_useful_.try_emplace(b.index_id, built_at);
+      if (!inserted) it->second = std::max(it->second, built_at);
+      if (opts_.resumable_builds) {
+        build_progress_.erase({b.index_id, b.partition});
+      }
+    }
+  }
+  if (opts_.resumable_builds) {
+    // Preempted builds keep their progress; crash-lost builds do not
+    // (they are in lost_ops, not kills — the partial work died with the
+    // container's disk).
+    for (const auto& k : exec.kills) {
+      // A build preempted before it got any CPU leaves no useful progress.
+      if (k.ran_for > 0) {
+        build_progress_[{k.index_id, k.partition}] += k.ran_for;
+      }
+    }
+  }
+  return persist_delay;
 }
 
 void QaasService::RecordHistory(const Dataflow& df, Seconds finish,
@@ -1192,11 +1112,6 @@ void QaasService::ApplyDeletions(const std::vector<std::string>& to_delete,
     // Unknown reference times count as fresh (conservative: never delete
     // an index whose usage we have not observed yet).
     if (it == last_useful_.end() || finish - it->second < grace) continue;
-    if (std::getenv("DFIM_DEBUG_DELETE") != nullptr) {
-      std::fprintf(stderr, "[delete] t=%.1fq idx=%s age=%.1fq\n",
-                   finish / opts_.tuner.sched.quantum, idx.c_str(),
-                   (finish - it->second) / opts_.tuner.sched.quantum);
-    }
     auto dropped = catalog_->DropIndex(idx);
     if (dropped.ok() && !dropped->empty()) {
       for (const auto& path : *dropped) StorageDelete(path, finish);
@@ -1228,54 +1143,35 @@ void QaasService::StampTimeline(Seconds finish, double makespan_quanta,
   metrics->timeline.push_back(pt);
 }
 
-Result<QaasService::RunOutcome> QaasService::RunBatch(
-    const std::vector<PendingDataflow>& batch, Seconds start,
-    ServiceMetrics* metrics, double build_fraction) {
-  // Batched admission (DESIGN.md §14): every member is tuned against the
-  // same catalog/history snapshot, the combined DAGs are merged (build ops
-  // for the same partition deduped), and a single skyline pass schedules
-  // the union — one member's builds pack into another's idle slots.
-  RunOutcome crashed_out;
-  crashed_out.crashed = true;
-  if (MaybeCtlCrash()) return crashed_out;  // b0: pre-Decide
-  if (opts_.integrity.scrub_objects_per_quantum > 0) {
-    RunScrub(start, metrics);
-  }
-  const FleetPlan fleet_plan = PrepareFleet(start, metrics);
+Result<TunerDecision> QaasService::MergeDecisions(
+    std::vector<TunerDecision> decisions, int fleet_bound,
+    double build_fraction) {
+  // A lone member keeps the tuner's own decision as-is: no merge copy and
+  // no second skyline or packing pass.
+  if (decisions.size() == 1) return std::move(decisions.front());
 
-  std::vector<TunerDecision> decisions;
-  decisions.reserve(batch.size());
-  for (const auto& p : batch) {
-    DFIM_ASSIGN_OR_RETURN(
-        TunerDecision d,
-        Decide(p.df, start, metrics, build_fraction, fleet_plan.bound));
-    decisions.push_back(std::move(d));
-  }
-
-  // Merge into one decision. Duplicate build ops (two members wanting the
-  // same index partition) keep only the first copy; flows touching a
-  // dropped duplicate are dropped with it (build ops are sources/sinks of
-  // their private staging flows, never of dataflow edges).
+  // Batched admission (DESIGN.md §14): the combined DAGs are merged and a
+  // single skyline pass schedules the union — one member's builds pack into
+  // another's idle slots. Duplicate build ops (two members wanting the same
+  // index partition) keep only the first copy; flows touching a dropped
+  // duplicate are dropped with it (build ops are sources/sinks of their
+  // private staging flows, never of dataflow edges).
   TunerDecision merged;
   std::set<std::pair<std::string, int>> build_seen;
   std::vector<int> build_ids;
   for (const auto& d : decisions) {
     std::vector<int> remap(d.combined.num_ops(), -1);
     for (const auto& op : d.combined.ops()) {
-      if (op.optional && op.kind == OpKind::kBuildIndex) {
-        if (!build_seen.emplace(op.index_id, op.index_partition).second) {
-          continue;  // another member already builds this partition
-        }
+      const bool build = op.optional && op.kind == OpKind::kBuildIndex;
+      if (build &&
+          !build_seen.emplace(op.index_id, op.index_partition).second) {
+        continue;  // another member already builds this partition
       }
-      Operator copy = op;
-      int nid = merged.combined.AddOperator(std::move(copy));
+      int nid = merged.combined.AddOperator(op);
       remap[static_cast<size_t>(op.id)] = nid;
       merged.durations.push_back(d.durations[static_cast<size_t>(op.id)]);
       merged.costs.push_back(d.costs[static_cast<size_t>(op.id)]);
-      const Operator& placed = merged.combined.op(nid);
-      if (placed.optional && placed.kind == OpKind::kBuildIndex) {
-        build_ids.push_back(nid);
-      }
+      if (build) build_ids.push_back(nid);
     }
     for (const auto& f : d.combined.flows()) {
       int from = remap[static_cast<size_t>(f.from)];
@@ -1284,10 +1180,8 @@ Result<QaasService::RunOutcome> QaasService::RunBatch(
       DFIM_RETURN_NOT_OK(merged.combined.AddFlow(from, to, f.size));
     }
     for (const auto& idx : d.to_delete) {
-      if (std::find(merged.to_delete.begin(), merged.to_delete.end(), idx) ==
-          merged.to_delete.end()) {
-        merged.to_delete.push_back(idx);
-      }
+      auto& del = merged.to_delete;
+      if (std::ranges::find(del, idx) == del.end()) del.push_back(idx);
     }
   }
 
@@ -1296,8 +1190,8 @@ Result<QaasService::RunOutcome> QaasService::RunBatch(
   // regardless of the tuner's interleave mode — the members' own packings
   // were discarded with their schedules; a deliberate simplification).
   SchedulerOptions sched = opts_.tuner.sched;
-  if (fleet_plan.bound > 0 && fleet_plan.bound < sched.max_containers) {
-    sched.max_containers = fleet_plan.bound;
+  if (fleet_bound > 0 && fleet_bound < sched.max_containers) {
+    sched.max_containers = fleet_bound;
   }
   SkylineScheduler scheduler(sched);
   DFIM_ASSIGN_OR_RETURN(merged.skyline,
@@ -1314,26 +1208,7 @@ Result<QaasService::RunOutcome> QaasService::RunBatch(
       if (a.optional) ++merged.build_ops_scheduled;
     }
   }
-
-  if (opts_.integrity.verify_reads) {
-    VerifyIndexBindings(&merged, start, metrics);
-  }
-  if (opts_.integrity.repair && build_fraction > 0) {
-    ScheduleRepairs(&merged, metrics);
-  }
-
-  // The merged decision is final: commit it as the in-flight B-phase
-  // state; one execution covers the whole batch (the head member keys the
-  // fault draws and the adaptive speculation watermark in FinishRun).
-  in_flight_ = InFlightDecision{std::move(merged), fleet_plan.wait};
-  if (JournalOn()) {
-    journal_.AppendStage(
-        StageBoundary::kDecide, start,
-        static_cast<int64_t>(in_flight_->decision.combined.num_ops()));
-    CommitJournal(ServiceSnapshot::Kind::kPreExecute, *metrics);
-  }
-  if (MaybeCtlCrash()) return crashed_out;  // b1: pre-Execute
-  return FinishRun(metrics);
+  return merged;
 }
 
 void QaasService::ApplyDueUpdates(Seconds now, ServiceMetrics* metrics) {
@@ -1498,13 +1373,7 @@ Status QaasService::RunIteration(RunOutcome* out, ServiceMetrics* metrics) {
   bool resume_b_phase = false;
   while (true) {
     Result<RunOutcome> r =
-        resume_b_phase
-            ? FinishRun(metrics)
-            : (loop_->batch.size() == 1
-                   ? RunOne(loop_->batch.front().df, loop_->start, metrics,
-                            loop_->build_fraction)
-                   : RunBatch(loop_->batch, loop_->start, metrics,
-                              loop_->build_fraction));
+        resume_b_phase ? FinishRun(metrics) : StartRun(metrics);
     if (!r.ok()) return r.status();
     if (!r->crashed) {
       *out = *r;
@@ -1564,91 +1433,46 @@ Result<ServiceMetrics> QaasService::Run(WorkloadClient* client) {
         "batched admission requires admission.open_loop: the closed loop "
         "issues one dataflow at a time, so there is never a queue to merge");
   }
-  if (opts_.admission.open_loop) return RunOpenLoop(client);
-  ServiceMetrics metrics;
-  ServiceSnapshot::LoopState loop;
-  loop_ = &loop;
-  while (true) {
-    std::optional<Dataflow> df = client->Next(loop.clock, opts_.total_time);
-    if (!df.has_value()) break;
-    if (JournalOn()) journal_.AppendArrival(df->id, df->issued_at);
-    ++metrics.dataflows_arrived;
-    Seconds start = std::max(df->issued_at, loop.clock);
-    if (start >= opts_.total_time) break;
-    ApplyDueUpdates(start, &metrics);
-    loop.batch.clear();
-    PendingDataflow p;
-    p.df = std::move(*df);
-    p.arrival = start;
-    loop.batch.push_back(std::move(p));
-    loop.start = start;
-    loop.build_fraction = 1.0;
-    // C0: all of this iteration's inputs (the arrival, due updates) are in;
-    // a crash anywhere past this point re-runs from here.
-    if (JournalOn()) CommitJournal(ServiceSnapshot::Kind::kIterStart, metrics);
-    RunOutcome out;
-    DFIM_RETURN_NOT_OK(RunIteration(&out, &metrics));
-    loop.clock = out.finish;
-    loop.settled = std::max(loop.settled, out.settled);
-    if (!out.failed) {
-      if (out.finish <= opts_.total_time) {
-        ++metrics.dataflows_finished;
-      } else {
-        ++metrics.dataflows_overran;
-      }
-    }
-  }
-  // The last dataflow may legitimately finish (and persist builds) past the
-  // horizon; the bill is already settled through `settled` in that case.
-  Seconds final_t = std::max({opts_.total_time, loop.clock, loop.settled});
-  // A final scrub pass spends whatever budget the idle horizon tail
-  // accrued, so end-of-run rot is detected rather than silently latent.
-  if (opts_.integrity.scrub_objects_per_quantum > 0) {
-    RunScrub(final_t, &metrics);
-  }
-  SettleStorage(final_t);
-  metrics.storage_cost = storage_.accrued_cost();
-  metrics.storage_clock_clamps = storage_.clock_clamps();
-  HarvestIntegrity(final_t, &metrics);
-  // Settle the fleet: leases past the horizon expire idle, so the final
-  // ledger accounts every granted container. An always-on fleet is billed
-  // through the horizon first — its idle tail is part of the bill.
-  if (opts_.autoscaler.enabled && opts_.autoscaler.keep_alive) {
-    fleet_.KeepAlive(std::max(final_t, opts_.total_time));
-  }
-  fleet_.ReapExpired(std::max(final_t, opts_.total_time));
-  HarvestFleet(&metrics);
-  if (JournalOn()) HarvestJournal(&metrics);
-  loop_ = nullptr;
-  return metrics;
-}
-
-Result<ServiceMetrics> QaasService::RunOpenLoop(WorkloadClient* client) {
   ServiceMetrics metrics;
   const Seconds quantum = opts_.tuner.sched.quantum;
-  ServiceSnapshot::LoopState loop;  // clock: when the front door is next free
+  const bool open_loop = opts_.admission.open_loop;
+  ServiceSnapshot::LoopState loop;  // clock: when the server is next free
   loop_ = &loop;
-  loop.pending_arrival = client->Next(0, opts_.total_time);
-  if (JournalOn() && loop.pending_arrival.has_value()) {
-    journal_.AppendArrival(loop.pending_arrival->id,
-                           loop.pending_arrival->issued_at);
-  }
   std::deque<PendingDataflow>& queue = loop.queue;
   std::optional<Dataflow>& next_df = loop.pending_arrival;
+  auto pull = [&](Seconds not_before) {
+    next_df = client->Next(not_before, opts_.total_time);
+    if (next_df.has_value()) {
+      journal_.AppendArrival(next_df->id, next_df->issued_at);
+    }
+  };
+  if (open_loop) pull(0);
 
   // Event loop in virtual-time order: an arrival is admitted the moment it
   // occurs; the head of the queue is dequeued when the server frees up.
   // Every arrival is accounted exactly once — finished, overran, failed, or
   // shed — so arrived == finished + failed + overran + shed with zero slack.
-  while (next_df.has_value() || !queue.empty()) {
+  // The closed loop (paper §3) is the same loop with one dataflow
+  // outstanding: the user issues the next dataflow only once the previous
+  // one returned, and it queues without admission control (no queue cap, no
+  // estimate, no deadline).
+  while (true) {
+    if (!open_loop && queue.empty()) pull(loop.clock);
+    if (!next_df.has_value() && queue.empty()) break;
     Seconds dequeue_at = queue.empty()
                              ? std::numeric_limits<Seconds>::infinity()
                              : std::max(loop.clock, queue.front().arrival);
     if (next_df.has_value() && next_df->issued_at <= dequeue_at) {
-      admission_.Admit(std::move(*next_df), &queue, &metrics);
-      next_df = client->Next(0, opts_.total_time);
-      if (JournalOn() && next_df.has_value()) {
-        journal_.AppendArrival(next_df->id, next_df->issued_at);
+      if (open_loop) {
+        admission_.Admit(std::move(*next_df), &queue, &metrics);
+        pull(0);
+      } else {
+        ++metrics.dataflows_arrived;
+        PendingDataflow p;  // issued after the previous return: no wait
+        p.arrival = std::max(next_df->issued_at, loop.clock);
+        p.df = std::move(*next_df);
+        next_df.reset();
+        queue.push_back(std::move(p));
       }
       continue;
     }
@@ -1657,8 +1481,10 @@ Result<ServiceMetrics> QaasService::RunOpenLoop(WorkloadClient* client) {
     queue.pop_front();
     Seconds start = std::max(loop.clock, p.arrival);
     if (start >= opts_.total_time) {
-      // Stranded: the horizon closed while this entry waited.
+      // Stranded: the horizon closed while this entry waited. A closed-loop
+      // user issues nothing after the service has closed.
       ++metrics.dataflows_shed;
+      if (!open_loop) break;
       continue;
     }
     if (opts_.admission.shed == ShedPolicy::kDeadlineInfeasible &&
@@ -1670,8 +1496,8 @@ Result<ServiceMetrics> QaasService::RunOpenLoop(WorkloadClient* client) {
       continue;
     }
 
-    // Batched admission (DESIGN.md §14; max_batch 1 never enters this
-    // loop). Work-conserving: only entries already pending whose arrivals
+    // Batched admission (DESIGN.md §14; max_batch 1 forms one-member
+    // batches). Work-conserving: only entries already pending whose arrivals
     // fall within the head's window join — the dequeue never waits for
     // future arrivals. Infeasible entries are shed here exactly as the head
     // check above would have shed them one dequeue later.
@@ -1730,9 +1556,9 @@ Result<ServiceMetrics> QaasService::RunOpenLoop(WorkloadClient* client) {
         }
       }
     }
-    // RunOne/RunBatch appended one timeline point per member; stamp the
-    // open-loop state onto each and refresh every mirrored counter
-    // (deadline/finish accounting above ran after the execution stamp).
+    // FinishRun appended one timeline point per member; stamp the queue
+    // state onto each and refresh every mirrored counter (the finish and
+    // deadline accounting above ran after the execution stamp).
     for (size_t i = 0; i < batch.size(); ++i) {
       TimelinePoint& pt =
           metrics.timeline[metrics.timeline.size() - batch.size() + i];
@@ -1744,7 +1570,11 @@ Result<ServiceMetrics> QaasService::RunOpenLoop(WorkloadClient* client) {
     }
   }
 
+  // The last dataflow may legitimately finish (and persist builds) past the
+  // horizon; the bill is already settled through `settled` in that case.
   Seconds final_t = std::max({opts_.total_time, loop.clock, loop.settled});
+  // A final scrub pass spends whatever budget the idle horizon tail
+  // accrued, so end-of-run rot is detected rather than silently latent.
   if (opts_.integrity.scrub_objects_per_quantum > 0) {
     RunScrub(final_t, &metrics);
   }

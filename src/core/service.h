@@ -240,7 +240,10 @@ class QaasService {
  public:
   QaasService(Catalog* catalog, ServiceOptions options);
 
-  /// Consumes `client` until the horizon and returns the metrics.
+  /// Consumes `client` until the horizon and returns the metrics. One
+  /// event loop serves both arrival models: the open loop
+  /// (admission.open_loop) admits arrivals as they occur, the closed loop
+  /// issues the next dataflow once the previous one returned.
   Result<ServiceMetrics> Run(WorkloadClient* client);
 
   /// History records accumulated so far (inspection/testing).
@@ -295,23 +298,18 @@ class QaasService {
     Seconds last_persist = 0;
   };
 
-  /// Executes one dataflow starting at `start`, retrying crash-lost DAG
-  /// suffixes up to max_recovery_attempts when fault injection is active.
-  /// `build_fraction` is the brownout knob (1.0 = unthrottled, bit-identical
-  /// to the pre-overload path; 0 = no tuning at all this dataflow).
-  Result<RunOutcome> RunOne(const Dataflow& df, Seconds start,
-                            ServiceMetrics* metrics,
-                            double build_fraction = 1.0);
+  /// The A-phase of one iteration (loop_->batch/start/build_fraction): the
+  /// b0 crash draw, scrub, fleet preparation, one Decide per member, the
+  /// member merge, bind-time verification, repair packing and the in-flight
+  /// commit; then the b1 crash draw and the B-phase (FinishRun).
+  Result<RunOutcome> StartRun(ServiceMetrics* metrics);
 
-  /// Batched admission (DESIGN.md §14): tunes every member against the
-  /// same catalog/history snapshot, merges the combined DAGs, schedules the
-  /// union through a single skyline pass, re-packs the union of build ops
-  /// into the merged schedule's idle slots, and executes once. Members
-  /// share the realized finish; per-member accounting (queue delay,
-  /// deadlines, history) stays distinct. Requires batch.size() >= 2.
-  Result<RunOutcome> RunBatch(const std::vector<PendingDataflow>& batch,
-                              Seconds start, ServiceMetrics* metrics,
-                              double build_fraction);
+  /// Batched admission (DESIGN.md §14): merges the members' combined DAGs
+  /// (build ops for the same partition deduped), schedules the union
+  /// through a single skyline pass and re-packs the union of build ops into
+  /// the merged schedule's idle slots. A single decision is returned as-is.
+  Result<TunerDecision> MergeDecisions(std::vector<TunerDecision> decisions,
+                                       int fleet_bound, double build_fraction);
 
   /// The tuning step of one dataflow: policy decision (gain tuner or
   /// baseline) bounded by the fleet plan, plus the builds-shed accounting.
@@ -330,6 +328,22 @@ class QaasService {
                                       Seconds initial_wait,
                                       ServiceMetrics* metrics);
 
+  /// Bills one attempt that started at `t0`: extends each container's lease
+  /// through its realized end, evicts crashed and reclaimed containers, and
+  /// adds the simulator's counters to the metrics.
+  void ChargeAttempt(const ExecResult& exec,
+                     const std::vector<Container*>& containers, Seconds t0,
+                     ServiceMetrics* metrics);
+
+  /// Lands the builds one attempt (started at `t0`) completed: persists
+  /// each partition through the retries, circuit breaker, hedges and the
+  /// cross-shard gate, stamps its integrity draws, registers it in the
+  /// catalog, and carries preempted builds' progress. Returns the persist
+  /// delay (backoff plus gate throttling) and raises `*last_persist`.
+  Seconds LandBuilds(const ExecResult& exec, const FaultInjection& fi,
+                     Seconds t0, ServiceMetrics* metrics,
+                     Seconds* last_persist);
+
   /// Appends the dataflow's history record (what-if gains, realized
   /// time/money) and refreshes the last-useful clocks of its gainful
   /// candidates.
@@ -344,9 +358,6 @@ class QaasService {
   /// stamped and the catalog's built-index state sampled.
   void StampTimeline(Seconds finish, double makespan_quanta,
                      ServiceMetrics* metrics);
-
-  /// The arrival-driven service loop (admission.open_loop).
-  Result<ServiceMetrics> RunOpenLoop(WorkloadClient* client);
 
   /// Policy step for kNoIndex / kRandom. `max_containers` > 0 overrides the
   /// configured fleet cap (elastic fleet); 0 keeps it bit-identically.
@@ -576,8 +587,8 @@ class QaasService {
   /// The decision in flight between the pre-execute commit and the end of
   /// the iteration (what a kPreExecute snapshot restores).
   std::optional<InFlightDecision> in_flight_;
-  /// The active driver loop's locals; set by Run/RunOpenLoop for the
-  /// lifetime of the loop so snapshots can capture and restore them.
+  /// The service loop's locals; set by Run for the lifetime of the loop so
+  /// snapshots can capture and restore them.
   ServiceSnapshot::LoopState* loop_ = nullptr;
   /// @}
 };

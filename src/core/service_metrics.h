@@ -214,8 +214,8 @@ struct ServiceMetrics {
   /// @}
   /// \name Batched admission (zero with batch.max_batch == 1).
   /// @{
-  /// Merged-admission batches executed (size >= 2 only; size-1 dequeues
-  /// take the classic one-at-a-time path verbatim).
+  /// Merged-admission batches executed (size >= 2 only; a size-1 dequeue
+  /// keeps the tuner's own decision and is not a batch).
   int dataflow_batches = 0;
   /// Dataflows executed through a merged batch (each batch contributes its
   /// member count).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <optional>
 #include <set>
 
@@ -683,6 +684,83 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
   result.total_idle =
       static_cast<double>(leased_total) * opts_.quantum - busy_total;
   return result;
+}
+
+Result<RecoverySuffix> PlanRecoverySuffix(
+    const Dag& combined, const std::vector<SimOpCost>& costs,
+    const std::vector<Seconds>& durations, const Dag& attempt_dag,
+    const Schedule& attempt_plan, const std::vector<int>& attempt_ids,
+    const ExecResult& exec, double net_mb_per_sec, std::vector<char>* done) {
+  auto to_orig = [&](int local) {
+    return attempt_ids.empty() ? local
+                               : attempt_ids[static_cast<size_t>(local)];
+  };
+  std::set<int> needed;
+  for (const auto& l : exec.lost_ops) {
+    if (!l.optional) needed.insert(to_orig(l.op_id));
+  }
+  // Producers that finished this attempt on a crashed container lost their
+  // outputs with the local disk: any such producer feeding a needed op must
+  // re-run too (transitively).
+  const std::vector<int>& crashed = exec.failed_containers;
+  std::vector<int> placed(attempt_dag.num_ops(), -1);
+  for (const auto& a : attempt_plan.assignments()) {
+    placed[static_cast<size_t>(a.op_id)] = a.container;
+  }
+  std::vector<char> ran_here(combined.num_ops(), 0);
+  std::vector<int> on_crashed;  // combined ids finished on dead containers
+  for (const auto& op : attempt_dag.ops()) {
+    if (op.optional) continue;
+    int orig = to_orig(op.id);
+    ran_here[static_cast<size_t>(orig)] = 1;
+    if (std::ranges::find(crashed, placed[static_cast<size_t>(op.id)]) !=
+        crashed.end()) {
+      on_crashed.push_back(orig);
+    }
+  }
+  std::sort(on_crashed.begin(), on_crashed.end());
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (const auto& f : combined.flows()) {
+      if (needed.count(f.to) == 0 || needed.count(f.from) > 0) continue;
+      if (std::binary_search(on_crashed.begin(), on_crashed.end(), f.from)) {
+        needed.insert(f.from);
+        grew = true;
+      }
+    }
+  }
+  // Everything that ran this attempt and is not needed again is done.
+  for (size_t i = 0; i < done->size(); ++i) {
+    if (ran_here[i] && needed.count(static_cast<int>(i)) == 0) {
+      (*done)[i] = 1;
+    }
+  }
+
+  RecoverySuffix s;
+  std::map<int, int> remap;  // combined id -> suffix id (needed is sorted)
+  for (int orig : needed) {
+    remap[orig] = s.dag.AddOperator(combined.op(orig));
+    s.orig_ids.push_back(orig);
+    s.costs.push_back(costs[static_cast<size_t>(orig)]);
+    s.durations.push_back(durations[static_cast<size_t>(orig)]);
+  }
+  for (const auto& f : combined.flows()) {
+    auto it_to = remap.find(f.to);
+    if (it_to == remap.end()) continue;
+    auto it_from = remap.find(f.from);
+    if (it_from != remap.end()) {
+      DFIM_RETURN_NOT_OK(s.dag.AddFlow(it_from->second, it_to->second, f.size));
+    } else if ((*done)[static_cast<size_t>(f.from)]) {
+      // The producer's output survives on a live container or can be
+      // restaged: the re-executed consumer re-pays the transfer as an
+      // external input (and its content no longer matches any cache key).
+      const auto to = static_cast<size_t>(it_to->second);
+      s.costs[to].input_mb += f.size;
+      s.costs[to].cache_key.clear();
+      s.durations[to] += f.size / net_mb_per_sec;
+    }
+  }
+  return s;
 }
 
 }  // namespace dfim

@@ -251,6 +251,37 @@ class ExecSimulator {
   SimOptions opts_;
 };
 
+/// \brief The unfinished remainder of a crash-interrupted execution: the
+/// mandatory ops that must run again, as a DAG of their own.
+struct RecoverySuffix {
+  Dag dag;
+  /// Per suffix op (indexed by suffix id).
+  std::vector<SimOpCost> costs;
+  std::vector<Seconds> durations;
+  /// Suffix op id -> combined op id.
+  std::vector<int> orig_ids;
+};
+
+/// \brief Plans the recovery suffix after an incomplete attempt.
+///
+/// `combined`, `costs` and `durations` describe the full decision (combined
+/// id space); `attempt_dag`/`attempt_plan` are what the attempt ran, with
+/// `attempt_ids` mapping its op ids to combined ids (empty = identity, the
+/// first attempt). The suffix holds every lost mandatory op plus, because a
+/// crashed container's local disk is gone, every producer that finished on
+/// a crashed container and feeds a needed op (transitively). Lost optional
+/// build ops are dropped: a lost piggybacked build never stalls the
+/// dataflow. A needed op whose producer is done reads that output as an
+/// external input: `input_mb` grows by the flow size, its `cache_key` is
+/// cleared, and its duration grows by the transfer time at
+/// `net_mb_per_sec`. `done` (combined id space) accumulates the mandatory
+/// ops completed on live containers across attempts.
+Result<RecoverySuffix> PlanRecoverySuffix(
+    const Dag& combined, const std::vector<SimOpCost>& costs,
+    const std::vector<Seconds>& durations, const Dag& attempt_dag,
+    const Schedule& attempt_plan, const std::vector<int>& attempt_ids,
+    const ExecResult& exec, double net_mb_per_sec, std::vector<char>* done);
+
 }  // namespace dfim
 
 #endif  // DFIM_SCHED_EXEC_SIMULATOR_H_

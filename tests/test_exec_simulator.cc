@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "sched/skyline_scheduler.h"
 #include "sched_test_util.h"
 
@@ -215,6 +218,137 @@ TEST(ExecSimulatorTest, FragmentationReported) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->leased_quanta, 1);
   EXPECT_NEAR(r->total_idle, 30, 1e-9);  // half the quantum idle
+}
+
+/// A hand-built crash: container 0 died, container 1 survived. Ops 0 and 5
+/// finished on the dead container, ops 1 and 6 on the live one; mandatory
+/// ops 2 and 3 and the optional build op 4 were lost.
+///
+///   5 -> 0 -> 2 -> 3        flows: 5->0 30 MB, 6->0 40 MB, 0->2 100 MB,
+///   6 -^   1 -^                    1->2 50 MB, 2->3 25 MB
+struct CrashedAttempt {
+  Dag dag;
+  std::vector<SimOpCost> costs;
+  std::vector<Seconds> durations;
+  Schedule plan;
+  ExecResult exec;
+
+  CrashedAttempt() {
+    const int on_container[] = {0, 1, 1, 0, 1, 0, 1};
+    for (int i = 0; i < 7; ++i) {
+      const Seconds t = 10.0 + i;
+      Operator op = i == 4 ? Operator::BuildIndex(i, "idx", 0, t, 64)
+                           : Operator{};
+      op.time = t;
+      dag.AddOperator(std::move(op));
+      costs.push_back(SimOpCost{t, 1.0, "k" + std::to_string(i)});
+      durations.push_back(t);
+      Assignment a;
+      a.op_id = i;
+      a.container = on_container[i];
+      a.start = 20.0 * i;
+      a.end = a.start + t;
+      a.optional = i == 4;
+      plan.Add(a);
+    }
+    EXPECT_TRUE(dag.AddFlow(5, 0, 30).ok());
+    EXPECT_TRUE(dag.AddFlow(6, 0, 40).ok());
+    EXPECT_TRUE(dag.AddFlow(0, 2, 100).ok());
+    EXPECT_TRUE(dag.AddFlow(1, 2, 50).ok());
+    EXPECT_TRUE(dag.AddFlow(2, 3, 25).ok());
+    exec.complete = false;
+    exec.failed_containers = {0};
+    exec.failure_times = {50.0};
+    exec.failure_preempted = {0};
+    exec.lost_ops = {LostOp{2, 1, false}, LostOp{3, 0, false},
+                     LostOp{4, 1, true}};
+  }
+
+  Result<RecoverySuffix> Plan(std::vector<char>* done) const {
+    return PlanRecoverySuffix(dag, costs, durations, dag, plan, {}, exec,
+                              125.0, done);
+  }
+};
+
+TEST(RecoverySuffixTest, ProducersOnCrashedContainersRerunTransitively) {
+  CrashedAttempt a;
+  std::vector<char> done(a.dag.num_ops(), 0);
+  auto s = a.Plan(&done);
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  // Op 0 feeds lost op 2 from the dead container's disk, and op 5 feeds op
+  // 0 from the same disk: both re-run alongside the lost ops.
+  EXPECT_EQ(s->orig_ids, (std::vector<int>{0, 2, 3, 5}));
+  ASSERT_EQ(s->dag.num_ops(), 4u);
+  ASSERT_EQ(s->dag.num_flows(), 3u);
+  // Suffix ids follow the sorted combined ids: 0->0, 2->1, 3->2, 5->3.
+  EXPECT_EQ(s->dag.flows()[0].from, 3);
+  EXPECT_EQ(s->dag.flows()[0].to, 0);
+  EXPECT_EQ(s->dag.flows()[1].from, 0);
+  EXPECT_EQ(s->dag.flows()[1].to, 1);
+  EXPECT_EQ(s->dag.flows()[2].from, 1);
+  EXPECT_EQ(s->dag.flows()[2].to, 2);
+  // Only the live container's finished work is done.
+  EXPECT_EQ(done, (std::vector<char>{0, 1, 0, 0, 0, 0, 1}));
+  // A suffix op with no done producer keeps its costs untouched.
+  EXPECT_EQ(s->costs[3].input_mb, 1.0);
+  EXPECT_EQ(s->costs[3].cache_key, "k5");
+  EXPECT_EQ(s->durations[3], 15.0);
+}
+
+TEST(RecoverySuffixTest, LiveProducerBecomesExternalInput) {
+  CrashedAttempt a;
+  std::vector<char> done(a.dag.num_ops(), 0);
+  auto s = a.Plan(&done);
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  // Op 6 finished on the live container and feeds re-run op 0 (suffix 0);
+  // op 1 likewise feeds op 2 (suffix 1). Each consumer re-pays the transfer
+  // as an external input and no longer matches any cache key.
+  EXPECT_DOUBLE_EQ(s->costs[0].input_mb, 1.0 + 40.0);
+  EXPECT_TRUE(s->costs[0].cache_key.empty());
+  EXPECT_DOUBLE_EQ(s->durations[0], 10.0 + 40.0 / 125.0);
+  EXPECT_DOUBLE_EQ(s->costs[1].input_mb, 1.0 + 50.0);
+  EXPECT_TRUE(s->costs[1].cache_key.empty());
+  EXPECT_DOUBLE_EQ(s->durations[1], 12.0 + 50.0 / 125.0);
+  // A flow from a re-run producer stays an edge, not an external input.
+  EXPECT_DOUBLE_EQ(s->costs[2].input_mb, 1.0);
+  EXPECT_EQ(s->costs[2].cache_key, "k3");
+}
+
+TEST(RecoverySuffixTest, LostBuildOpsAreDropped) {
+  CrashedAttempt a;
+  std::vector<char> done(a.dag.num_ops(), 0);
+  auto s = a.Plan(&done);
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  for (const auto& op : s->dag.ops()) EXPECT_FALSE(op.optional);
+  EXPECT_EQ(std::count(s->orig_ids.begin(), s->orig_ids.end(), 4), 0);
+  EXPECT_EQ(done[4], 0);
+}
+
+TEST(RecoverySuffixTest, LaterAttemptsMapBackThroughTheIdMap) {
+  CrashedAttempt a;
+  std::vector<char> done(a.dag.num_ops(), 0);
+  auto first = a.Plan(&done);
+  ASSERT_TRUE(first.ok());
+  // The suffix re-runs on one container that crashes again: suffix op 1
+  // (combined op 2) and its successor are lost; combined op 0 finished on
+  // the dead container and must re-run once more, op 5 finished there too.
+  Schedule plan;
+  for (int i = 0; i < 4; ++i) {
+    Assignment as;
+    as.op_id = i;
+    as.start = 20.0 * i;
+    as.end = as.start + 10.0;
+    plan.Add(as);
+  }
+  ExecResult exec;
+  exec.complete = false;
+  exec.failed_containers = {0};
+  exec.lost_ops = {LostOp{1, 0, false}, LostOp{2, 0, false}};
+  auto second = PlanRecoverySuffix(a.dag, a.costs, a.durations, first->dag,
+                                   plan, first->orig_ids, exec, 125.0, &done);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->orig_ids, (std::vector<int>{0, 2, 3, 5}));
+  EXPECT_EQ(done, (std::vector<char>{0, 1, 0, 0, 0, 0, 1}));
 }
 
 }  // namespace

@@ -402,13 +402,11 @@ struct FaultServiceFixture {
     return m.ok() ? *m : ServiceMetrics{};
   }
 
-  /// Every dataflow is accounted for: finished, failed, overran, or (at
-  /// most one) cut off by the horizon mid-issue. Nothing wedges or leaks.
+  /// Every dataflow is accounted for exactly once: finished, failed,
+  /// overran, or shed (cut off by the horizon). Nothing wedges or leaks.
   static void CheckAccounting(const ServiceMetrics& m) {
-    int slack = m.dataflows_arrived - m.dataflows_finished -
-                m.dataflows_failed - m.dataflows_overran;
-    EXPECT_GE(slack, 0);
-    EXPECT_LE(slack, 1);
+    EXPECT_EQ(m.dataflows_arrived, m.dataflows_finished + m.dataflows_failed +
+                                       m.dataflows_overran + m.dataflows_shed);
   }
 
   /// Catalog ⊆ storage: every partition the catalog says is built must have

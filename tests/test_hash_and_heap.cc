@@ -2,33 +2,10 @@
 
 #include <string>
 
-#include "index/hash_index.h"
 #include "index/table_heap.h"
 
 namespace dfim {
 namespace {
-
-TEST(HashIndexTest, InsertLookup) {
-  HashIndex<int64_t> h;
-  h.Insert(5, 1);
-  h.Insert(5, 2);
-  h.Insert(9, 3);
-  EXPECT_EQ(h.size(), 3u);
-  auto rows = h.Lookup(5);
-  EXPECT_EQ(rows.size(), 2u);
-  EXPECT_TRUE(h.Lookup(6).empty());
-  EXPECT_TRUE(h.Contains(9));
-  EXPECT_FALSE(h.Contains(6));
-}
-
-TEST(HashIndexTest, StringKeysAndFootprint) {
-  HashIndex<std::string> h(HashIndex<std::string>::Options{16, 8});
-  EXPECT_TRUE(h.empty());
-  h.Insert("abc", 1);
-  EXPECT_GT(h.SizeBytes(), 0u);
-  h.Clear();
-  EXPECT_TRUE(h.empty());
-}
 
 struct Row {
   int id;

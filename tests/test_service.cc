@@ -8,7 +8,8 @@ namespace {
 /// Small database + short horizon so each arm runs in well under a second.
 struct ServiceFixture {
   explicit ServiceFixture(IndexPolicy policy, uint64_t seed = 5,
-                          Seconds horizon = 50.0 * 60.0) {
+                          Seconds horizon = 50.0 * 60.0,
+                          bool open_loop = false) {
     FileDatabaseOptions fdo;
     fdo.montage_files = 4;
     fdo.ligo_files = 4;
@@ -25,6 +26,7 @@ struct ServiceFixture {
     so.sim.time_error = 0.1;
     so.sim.data_error = 0.1;
     so.seed = seed;
+    so.admission.open_loop = open_loop;
     service = std::make_unique<QaasService>(&catalog, so);
   }
 
@@ -119,6 +121,37 @@ TEST(ServiceTest, HistoryRecordsAccumulate) {
     EXPECT_GE(rec.finished_at, 0);
     EXPECT_GT(rec.time_quanta, 0);
   }
+}
+
+/// The last timeline point is stamped after the iteration's finish
+/// accounting, so it carries the run's finished/overran/failed totals.
+void ExpectLastPointCarriesTotals(const ServiceMetrics& m) {
+  ASSERT_FALSE(m.timeline.empty());
+  const TimelinePoint& last = m.timeline.back();
+  EXPECT_EQ(last.dataflows_finished, m.dataflows_finished);
+  EXPECT_EQ(last.dataflows_overran, m.dataflows_overran);
+  EXPECT_EQ(last.dataflows_failed, m.dataflows_failed);
+  // Every arrival is accounted exactly once; a stranded one counts as shed.
+  EXPECT_EQ(m.dataflows_arrived, m.dataflows_finished + m.dataflows_failed +
+                                     m.dataflows_overran + m.dataflows_shed);
+}
+
+TEST(ServiceTest, ClosedLoopTimelineEndsAtRunTotals) {
+  ServiceFixture f(IndexPolicy::kGain);
+  ServiceMetrics m = f.RunMontage();
+  EXPECT_GT(m.dataflows_finished + m.dataflows_overran, 1);
+  ExpectLastPointCarriesTotals(m);
+}
+
+TEST(ServiceTest, OpenLoopTimelineEndsAtRunTotals) {
+  ServiceFixture f(IndexPolicy::kGain, 5, 50.0 * 60.0, /*open_loop=*/true);
+  ArrivalOptions arrivals;
+  arrivals.mean_interarrival = 240.0;
+  OpenLoopWorkloadClient client(f.gen.get(), arrivals, {}, 5);
+  auto m = f.service->Run(&client);
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  EXPECT_GT(m->dataflows_finished + m->dataflows_overran, 1);
+  ExpectLastPointCarriesTotals(*m);
 }
 
 TEST(ServiceTest, ArrivalsPastHorizonNotExecuted) {
