@@ -9,6 +9,20 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="$ROOT/build-release"
 RELEASE_FLAGS="-O2 -DNDEBUG"
 
+# Provenance of the sources about to be built, taken before any bench
+# rewrites its own output: `src_hash` hashes the HEAD sha plus
+# `git diff HEAD`, so a file stamped dirty still names the exact tracked
+# sources it was built from. The BENCH_*.json outputs are left out of both.
+NOT_OUTPUTS=(-- . ':(exclude)BENCH_*.json')
+SHA="$(git -C "$ROOT" rev-parse --short HEAD 2>/dev/null || echo unknown)"
+DIRTY="false"
+if ! git -C "$ROOT" diff --quiet HEAD "${NOT_OUTPUTS[@]}" 2>/dev/null; then
+  DIRTY="true"
+fi
+SRC_HASH="$( { git -C "$ROOT" rev-parse HEAD; \
+    git -C "$ROOT" diff HEAD "${NOT_OUTPUTS[@]}"; } 2>/dev/null \
+    | sha256sum | cut -c1-16)"
+
 cmake -B "$BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release \
     -DCMAKE_CXX_FLAGS_RELEASE="$RELEASE_FLAGS"
 cmake --build "$BUILD" -j --target bench_sched_scale bench_faults \
@@ -18,16 +32,13 @@ cmake --build "$BUILD" -j --target bench_sched_scale bench_faults \
 # The values are one-line strings with no quotes, so plain sed is safe.
 stamp_meta() {
   local file="$1"
-  local sha dirty compiler
-  sha="$(git -C "$ROOT" rev-parse --short HEAD 2>/dev/null || echo unknown)"
-  dirty="false"
-  if ! git -C "$ROOT" diff --quiet HEAD -- 2>/dev/null; then dirty="true"; fi
+  local compiler
   compiler="$(c++ --version 2>/dev/null | head -n1 | tr -d '"' || echo unknown)"
   local tmp="$file.tmp.$$"
   {
     head -n1 "$file"
-    printf '  "meta": {"git_sha": "%s", "dirty": %s, "compiler": "%s", "flags": "%s"},\n' \
-        "$sha" "$dirty" "$compiler" "$RELEASE_FLAGS"
+    printf '  "meta": {"git_sha": "%s", "dirty": %s, "src_hash": "%s", "compiler": "%s", "flags": "%s"},\n' \
+        "$SHA" "$DIRTY" "$SRC_HASH" "$compiler" "$RELEASE_FLAGS"
     tail -n +2 "$file"
   } > "$tmp"
   mv "$tmp" "$file"

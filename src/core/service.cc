@@ -1089,11 +1089,16 @@ void QaasService::RecordHistory(const Dataflow& df, Seconds finish,
   rec.finished_at = finish;
   rec.time_quanta = time_quanta;
   rec.money_quanta = money_quanta;
-  for (const auto& idx : df.candidate_indexes) {
-    double g = tuner_.EstimateDataflowGain(df, idx);
+  // One what-if table for the whole record: the builds have landed and
+  // nothing mutates the catalog until ApplyDeletions.
+  const std::vector<double> gains = tuner_.EstimateDataflowGains(df);
+  for (size_t i = 0; i < gains.size(); ++i) {
+    const std::string& idx = df.candidate_indexes[i];
+    const double g = gains[i];
     if (g > 0) {
+      // The what-if estimate credits time and money alike; an absent
+      // money_gain reads as the time gain (EvaluateIndex).
       rec.time_gain[idx] = g;
-      rec.money_gain[idx] = g;
       last_useful_[idx] = finish;
     }
   }

@@ -1,6 +1,7 @@
 #include "core/tuner.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 #include "dataflow/build_index_ops.h"
@@ -31,6 +32,7 @@ void BuildDataflowCosts(const Dag& dag, const Dataflow& df,
                         std::vector<SimOpCost>* costs) {
   durations->assign(dag.num_ops(), 0);
   costs->assign(dag.num_ops(), SimOpCost{});
+  WhatIfTable whatif(df, catalog);
   for (const auto& op : dag.ops()) {
     auto i = static_cast<size_t>(op.id);
     if (op.optional) {
@@ -39,7 +41,7 @@ void BuildDataflowCosts(const Dag& dag, const Dataflow& df,
       (*costs)[i] = SimOpCost{op.time, 0, ""};
       continue;
     }
-    EffectiveCost c = EffectiveOpCost(op, df, catalog);
+    EffectiveCost c = whatif.OpCost(op);
     (*durations)[i] = c.cpu_time + c.input_mb / net_mb_per_sec;
     SimOpCost& sc = (*costs)[i];
     sc.cpu_time = c.cpu_time;
@@ -72,30 +74,104 @@ OnlineIndexTuner::OnlineIndexTuner(Catalog* catalog, TunerOptions options)
   opts_.sched = NormalizedSched(opts_.sched);
 }
 
+namespace {
+
+/// Every Eq. 4-5 what-if gain of one dataflow under one catalog state, from
+/// one what-if table. Each candidate's marginal value is computed once and
+/// memoised; the per-table competition of unbuilt candidates reads those
+/// values instead of recomputing every rival's.
+class WhatIfGains {
+ public:
+  WhatIfGains(const Dataflow& df, const Catalog& catalog,
+              const SchedulerOptions& sched)
+      : df_(df),
+        table_(df, catalog),
+        net_(sched.net_mb_per_sec),
+        quantum_(sched.quantum),
+        value_(static_cast<size_t>(table_.num_candidates())) {}
+
+  const WhatIfTable& table() const { return table_; }
+
+  /// Retention value of candidate `slot` when `built` (cost without it
+  /// minus cost with it), build value otherwise (cost now minus cost with
+  /// it fully built), in quanta.
+  double Marginal(int slot, bool built) {
+    const int g = table_.group(slot);
+    constexpr int kNone = WhatIfTable::kNone;
+    double saving = 0;
+    for (int i : table_.group_ops(g)) {
+      const Seconds t = df_.dag.ops()[static_cast<size_t>(i)].time;
+      WhatIfTable::Choice a, b;
+      if (built) {
+        a = table_.Choose(g, t, slot, kNone);
+        b = table_.Choose(g, t, kNone, kNone);
+      } else {
+        a = table_.Choose(g, t, kNone, kNone);
+        b = table_.Choose(g, t, kNone, slot);
+      }
+      double delta =
+          (a.cpu_time + a.input_mb / net_) - (b.cpu_time + b.input_mb / net_);
+      if (delta > 0) saving += delta;
+    }
+    return saving / quantum_;
+  }
+
+  /// What-if gain of candidate `slot` for the dataflow (feeds Eq. 4-5); a
+  /// kNone slot (not a defined candidate) earns exactly 0.
+  double Estimate(int slot) {
+    if (slot == WhatIfTable::kNone) return 0;
+    if (table_.built(slot)) return Value(slot);
+    // Unbuilt candidates compete: only the one with the best marginal
+    // improvement for this dataflow's table earns the gain, because an
+    // operator reads at most one index (crediting runners-up would build
+    // redundant indexes — the index-interaction issue the paper defers,
+    // §2: "delete indexes that become obsolete when index interactions...
+    // are identified"). Ties go to the smaller index, then the smaller id.
+    const double my = Value(slot);
+    if (my <= 0) return 0;
+    const MegaBytes mine = table_.full_size(slot);
+    const int g = table_.group(slot);
+    for (int other = table_.group_begin(g); other < table_.group_end(g);
+         ++other) {
+      if (other == slot || table_.built(other)) continue;
+      const double others = Value(other);
+      if (others > my) return 0;
+      if (others == my) {
+        const MegaBytes theirs = table_.full_size(other);
+        if (theirs < mine ||
+            (theirs == mine && table_.id(other) < table_.id(slot))) {
+          return 0;
+        }
+      }
+    }
+    return my;
+  }
+
+ private:
+  /// Memoised Marginal(slot, built(slot)).
+  double Value(int slot) {
+    std::optional<double>& v = value_[static_cast<size_t>(slot)];
+    if (!v) v = Marginal(slot, table_.built(slot));
+    return *v;
+  }
+
+  const Dataflow& df_;
+  WhatIfTable table_;
+  const double net_;
+  const Seconds quantum_;
+  std::vector<std::optional<double>> value_;
+};
+
+}  // namespace
+
 double OnlineIndexTuner::MarginalGainQuanta(const Dataflow& df,
                                             const std::string& index_id,
                                             bool built) const {
-  auto def = catalog_->GetIndexDef(index_id);
-  if (!def.ok()) return 0;
-  double net = opts_.sched.net_mb_per_sec;
-  double saving = 0;
-  for (const auto& op : df.dag.ops()) {
-    if (op.optional || op.input_table != (*def)->table) continue;
-    EffectiveCost a, b;
-    if (built) {
-      // Retention value: how much slower the dataflow gets without it.
-      a = EffectiveOpCostFiltered(op, df, *catalog_, index_id, "");
-      b = EffectiveOpCostFiltered(op, df, *catalog_, "", "");
-    } else {
-      // Build value: improvement over the currently built indexes.
-      a = EffectiveOpCostFiltered(op, df, *catalog_, "", "");
-      b = EffectiveOpCostFiltered(op, df, *catalog_, "", index_id);
-    }
-    double delta =
-        (a.cpu_time + a.input_mb / net) - (b.cpu_time + b.input_mb / net);
-    if (delta > 0) saving += delta;
-  }
-  return saving / opts_.sched.quantum;
+  WhatIfGains whatif(df, *catalog_, opts_.sched);
+  const int slot = whatif.table().Slot(index_id);
+  // A non-candidate excludes or forces nothing: both sides of every delta
+  // are the same cost, so its marginal value is exactly 0.
+  return slot == WhatIfTable::kNone ? 0 : whatif.Marginal(slot, built);
 }
 
 bool OnlineIndexTuner::IsBuilt(const std::string& index_id) const {
@@ -105,34 +181,22 @@ bool OnlineIndexTuner::IsBuilt(const std::string& index_id) const {
 
 double OnlineIndexTuner::EstimateDataflowGain(const Dataflow& df,
                                               const std::string& index_id) const {
-  auto def = catalog_->GetIndexDef(index_id);
-  if (!def.ok()) return 0;
-  if (IsBuilt(index_id)) {
-    return MarginalGainQuanta(df, index_id, /*built=*/true);
+  // A non-candidate scores exactly 0 (see MarginalGainQuanta), so it needs
+  // no table.
+  const auto& cands = df.candidate_indexes;
+  if (std::find(cands.begin(), cands.end(), index_id) == cands.end()) return 0;
+  WhatIfGains whatif(df, *catalog_, opts_.sched);
+  return whatif.Estimate(whatif.table().Slot(index_id));
+}
+
+std::vector<double> OnlineIndexTuner::EstimateDataflowGains(
+    const Dataflow& df) const {
+  WhatIfGains whatif(df, *catalog_, opts_.sched);
+  std::vector<double> out(df.candidate_indexes.size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] = whatif.Estimate(whatif.table().SlotAt(i));
   }
-  // Unbuilt candidates compete: only the one with the best marginal
-  // improvement for this dataflow's table earns the gain, because an
-  // operator reads at most one index (crediting runners-up would build
-  // redundant indexes — the index-interaction issue the paper defers,
-  // §2: "delete indexes that become obsolete when index interactions...
-  // are identified").
-  double my = MarginalGainQuanta(df, index_id, /*built=*/false);
-  if (my <= 0) return 0;
-  auto my_size = catalog_->FullSize(index_id);
-  for (const auto& other : df.candidate_indexes) {
-    if (other == index_id || IsBuilt(other)) continue;
-    auto odef = catalog_->GetIndexDef(other);
-    if (!odef.ok() || (*odef)->table != (*def)->table) continue;
-    double others = MarginalGainQuanta(df, other, /*built=*/false);
-    if (others > my) return 0;
-    if (others == my) {
-      auto osize = catalog_->FullSize(other);
-      MegaBytes mine = my_size.ok() ? *my_size : 0;
-      MegaBytes theirs = osize.ok() ? *osize : 0;
-      if (theirs < mine || (theirs == mine && other < index_id)) return 0;
-    }
-  }
-  return my;
+  return out;
 }
 
 double OnlineIndexTuner::FullBuildQuanta(const std::string& index_id) const {
@@ -147,6 +211,14 @@ double OnlineIndexTuner::FullBuildQuanta(const std::string& index_id) const {
 IndexGains OnlineIndexTuner::EvaluateIndex(
     const std::string& index_id, const std::deque<DataflowRecord>& history,
     const Dataflow* current, Seconds now) const {
+  return EvaluateIndexWith(
+      index_id, history,
+      current != nullptr ? EstimateDataflowGain(*current, index_id) : 0, now);
+}
+
+IndexGains OnlineIndexTuner::EvaluateIndexWith(
+    const std::string& index_id, const std::deque<DataflowRecord>& history,
+    double current_gain, Seconds now) const {
   std::vector<GainContribution> uses;
   std::vector<double> reference_times;  // quanta, for adaptive fading
   for (const auto& rec : history) {
@@ -161,9 +233,8 @@ IndexGains OnlineIndexTuner::EvaluateIndex(
     uses.push_back(c);
     reference_times.push_back(rec.finished_at / opts_.sched.quantum);
   }
-  if (current != nullptr) {
-    double est = EstimateDataflowGain(*current, index_id);
-    if (est > 0) uses.push_back(GainContribution{est, est, 0});
+  if (current_gain > 0) {
+    uses.push_back(GainContribution{current_gain, current_gain, 0});
   }
   double ti = FullBuildQuanta(index_id);
   auto size = catalog_->FullSize(index_id);
@@ -207,10 +278,14 @@ Result<TunerDecision> OnlineIndexTuner::OnDataflow(
 
   // Lines 2-9: evaluate gains, collect beneficial indexes.
   std::vector<std::pair<std::string, double>> beneficial;  // (idx, g)
-  for (const auto& idx : potential) {
-    IndexGains g = EvaluateIndex(idx, history, &df, now);
-    d.gains[idx] = g;
-    if (g.beneficial) beneficial.emplace_back(idx, g.g);
+  {
+    WhatIfGains whatif(df, *catalog_, opts_.sched);
+    for (const auto& idx : potential) {
+      const double est = whatif.Estimate(whatif.table().Slot(idx));
+      IndexGains g = EvaluateIndexWith(idx, history, est, now);
+      d.gains[idx] = g;
+      if (g.beneficial) beneficial.emplace_back(idx, g.g);
+    }
   }
   std::stable_sort(
       beneficial.begin(), beneficial.end(),

@@ -101,6 +101,10 @@ class OnlineIndexTuner {
   double MarginalGainQuanta(const Dataflow& df, const std::string& index_id,
                             bool built) const;
 
+  /// EstimateDataflowGain of every entry of `df.candidate_indexes` (element
+  /// i is candidate i), from one what-if table.
+  std::vector<double> EstimateDataflowGains(const Dataflow& df) const;
+
   /// True when the index has at least one built partition.
   bool IsBuilt(const std::string& index_id) const;
 
@@ -116,6 +120,12 @@ class OnlineIndexTuner {
   /// ti(idx): the index's total build time in quanta — a constant of the
   /// index, charged in Eq. 4-5 whether or not partitions are already built.
   double FullBuildQuanta(const std::string& index_id) const;
+
+  /// EvaluateIndex with the issued dataflow's what-if gain already
+  /// estimated (`current_gain`; 0 when there is none).
+  IndexGains EvaluateIndexWith(const std::string& index_id,
+                               const std::deque<DataflowRecord>& history,
+                               double current_gain, Seconds now) const;
 
   Catalog* catalog_;
   TunerOptions opts_;

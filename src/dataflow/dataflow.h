@@ -56,7 +56,8 @@ struct DataflowRecord {
   /// Realized makespan and money (in quanta) of the executed schedule.
   double time_quanta = 0;
   double money_quanta = 0;
-  /// Per-index gains: gtd(idx, d) and gmd(idx, d), both in quanta.
+  /// Per-index gains: gtd(idx, d) and gmd(idx, d), both in quanta. An
+  /// index absent from money_gain has gmd(idx, d) = gtd(idx, d).
   std::map<std::string, double> time_gain;
   std::map<std::string, double> money_gain;
 };
