@@ -8,6 +8,7 @@
 #include "core/knapsack.h"
 #include "core/tuner.h"
 #include "index/bplus_tree.h"
+#include "oracles/skyline_ref.h"
 #include "sched/load_balance_scheduler.h"
 #include "sched/skyline_scheduler.h"
 
@@ -163,21 +164,14 @@ void BM_SkylineSchedule(benchmark::State& state) {
   SchedulerOptions so = bench::PaperSchedulerOptions();
   so.skyline_cap = 8;
   so.max_containers = 16;
-  switch (state.range(0)) {
-    case 0:
-      so.use_naive_expansion = true;
-      break;
-    case 1:
-      break;
-    case 2:
-      so.num_threads = 2;
-      break;
-  }
+  if (state.range(0) == 2) so.num_threads = 2;
   BuildDataflowCosts(df.dag, df, setup.catalog, so.net_mb_per_sec, &durations,
                      &costs);
   SkylineScheduler sched(so);
   for (auto _ : state) {
-    auto skyline = sched.ScheduleDag(df.dag, durations, true);
+    auto skyline = state.range(0) == 0
+                       ? skyline_ref::ScheduleDag(so, df.dag, durations, true)
+                       : sched.ScheduleDag(df.dag, durations, true);
     benchmark::DoNotOptimize(skyline.ok());
   }
 }

@@ -1,6 +1,7 @@
 // Skyline-scheduler scaling bench: sweeps DAG width/depth x container count
-// x skyline cap, timing the retained naive engine against the incremental
-// (and parallel) probe/commit engine on identical inputs, and writes
+// x skyline cap, timing the copy-everything reference engine
+// (tests/oracles/skyline_ref.h) against the incremental (and parallel)
+// probe/commit engine on identical inputs, and writes
 // BENCH_sched.json (min/median runtime per config, generate_stats style) so
 // successive PRs have a recorded perf trajectory.
 //
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "oracles/skyline_ref.h"
 #include "sched/skyline_scheduler.h"
 
 namespace dfim {
@@ -83,15 +85,20 @@ Stats MakeStats(std::vector<double> runtimes) {
   return s;
 }
 
+/// Times `ScheduleDag` of the reference engine (`naive`) or of
+/// SkylineScheduler under `opts`.
 Stats TimeEngine(const Dag& g, const std::vector<Seconds>& durations,
-                 const SchedulerOptions& opts, int reps,
+                 const SchedulerOptions& opts, bool naive, int reps,
                  std::vector<Schedule>* last_skyline) {
   SkylineScheduler sched(opts);
   std::vector<double> runtimes;
   runtimes.reserve(static_cast<size_t>(reps));
   for (int r = 0; r < reps; ++r) {
     auto t0 = std::chrono::steady_clock::now();
-    auto skyline = sched.ScheduleDag(g, durations, /*place_optional=*/true);
+    auto skyline =
+        naive ? skyline_ref::ScheduleDag(opts, g, durations,
+                                         /*place_optional=*/true)
+              : sched.ScheduleDag(g, durations, /*place_optional=*/true);
     auto t1 = std::chrono::steady_clock::now();
     if (!skyline.ok()) {
       std::fprintf(stderr, "schedule failed: %s\n",
@@ -166,7 +173,7 @@ SlotBench TimeSlotSearch(const Schedule& schedule, int num_containers,
   std::vector<std::vector<Assignment>> aos(
       static_cast<size_t>(num_containers));
   for (int t = 0; t < tiles; ++t) {
-    for (const auto& a : schedule.SortedByContainer()) {
+    for (const Assignment& a : schedule.assignments()) {
       if (a.container < 0 || a.container >= num_containers) continue;
       Assignment shifted = a;
       shifted.start += static_cast<double>(t) * span;
@@ -256,14 +263,8 @@ bool SameSkylines(const std::vector<Schedule>& a,
                   const std::vector<Schedule>& b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
-    auto sa = a[i].SortedByContainer();
-    auto sb = b[i].SortedByContainer();
-    if (sa.size() != sb.size()) return false;
-    for (size_t k = 0; k < sa.size(); ++k) {
-      if (sa[k].op_id != sb[k].op_id || sa[k].container != sb[k].container ||
-          sa[k].start != sb[k].start || sa[k].end != sb[k].end) {
-        return false;
-      }
+    if (!std::ranges::equal(a[i].assignments(), b[i].assignments())) {
+      return false;
     }
   }
   return true;
@@ -314,19 +315,19 @@ int main(int argc, char** argv) {
     Dag g = RandomLayeredDag(cfg.width, cfg.depth, cfg.optional_ops, 42);
     auto durations = Durations(g);
 
-    SchedulerOptions naive_opts;
-    naive_opts.max_containers = cfg.containers;
-    naive_opts.skyline_cap = cfg.cap;
-    naive_opts.use_naive_expansion = true;
-    SchedulerOptions inc_opts = naive_opts;
-    inc_opts.use_naive_expansion = false;
+    SchedulerOptions inc_opts;
+    inc_opts.max_containers = cfg.containers;
+    inc_opts.skyline_cap = cfg.cap;
     SchedulerOptions par_opts = inc_opts;
     par_opts.num_threads = 2;
 
     std::vector<Schedule> naive_sky, inc_sky, par_sky;
-    Stats naive = TimeEngine(g, durations, naive_opts, reps, &naive_sky);
-    Stats inc = TimeEngine(g, durations, inc_opts, reps, &inc_sky);
-    Stats par = TimeEngine(g, durations, par_opts, reps, &par_sky);
+    Stats naive = TimeEngine(g, durations, inc_opts, /*naive=*/true, reps,
+                             &naive_sky);
+    Stats inc = TimeEngine(g, durations, inc_opts, /*naive=*/false, reps,
+                           &inc_sky);
+    Stats par = TimeEngine(g, durations, par_opts, /*naive=*/false, reps,
+                           &par_sky);
 
     bool identical =
         SameSkylines(naive_sky, inc_sky) && SameSkylines(inc_sky, par_sky);

@@ -54,12 +54,26 @@ int main() {
   std::printf("\nMontage: %zu dataflow ops, %d candidate build ops\n",
               df.dag.num_ops(), added);
 
+  // The interleaver keeps only the fastest point; the figure plots them
+  // all, so it builds the interleaved skyline itself.
+  std::vector<int> build_ops;
+  for (const auto& op : combined.ops()) {
+    if (op.optional) build_ops.push_back(op.id);
+  }
+  SkylineScheduler scheduler(so);
   for (auto mode : {InterleaveMode::kOnline, InterleaveMode::kLp}) {
     Interleaver il(so, mode);
-    auto skyline = il.Interleave(combined, durations);
+    auto skyline = scheduler.ScheduleDag(
+        combined, durations,
+        /*place_optional=*/mode == InterleaveMode::kOnline);
     if (!skyline.ok()) {
       std::printf("error: %s\n", skyline.status().ToString().c_str());
       return 1;
+    }
+    if (mode == InterleaveMode::kLp) {
+      for (auto& s : *skyline) {
+        s = il.PackIntoIdleSlots(std::move(s), combined, durations, build_ops);
+      }
     }
     std::printf("\n%s interleaving:\n",
                 mode == InterleaveMode::kLp ? "LP" : "Online");

@@ -45,8 +45,8 @@ int main() {
     std::printf("scheduling failed\n");
     return 1;
   }
-  const Schedule& before = bare->front();
-  const Schedule& after = packed->front();
+  const Schedule& before = *bare;
+  const Schedule& after = *packed;
 
   std::printf("\nDataflow-only schedule ('#' ops, '.' idle):\n%s",
               before.ToAscii(so.quantum, 96).c_str());

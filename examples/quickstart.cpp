@@ -73,15 +73,16 @@ int main() {
   std::vector<SimOpCost> costs;
   BuildDataflowCosts(g, df, catalog, so.net_mb_per_sec, &durations, &costs);
   Interleaver interleaver(so, InterleaveMode::kLp);
-  auto skyline = interleaver.Interleave(g, durations);
-  if (!skyline.ok()) {
-    std::printf("scheduling failed: %s\n", skyline.status().ToString().c_str());
+  auto interleaved = interleaver.Interleave(g, durations);
+  if (!interleaved.ok()) {
+    std::printf("scheduling failed: %s\n",
+                interleaved.status().ToString().c_str());
     return 1;
   }
-  const Schedule& plan = skyline->front();
-  std::printf("\nSkyline has %zu schedules; fastest: %.1f s on %d containers, "
+  const Schedule& plan = *interleaved;
+  std::printf("\nFastest skyline point: %.1f s on %d containers, "
               "%lld leased quanta\n",
-              skyline->size(), plan.makespan(), plan.num_containers(),
+              plan.makespan(), plan.num_containers(),
               static_cast<long long>(plan.LeasedQuanta(so.quantum)));
   std::printf("\nTimeline ('#' dataflow, '+' index build, '.' idle):\n%s",
               plan.ToAscii(so.quantum, 80).c_str());
@@ -106,7 +107,7 @@ int main() {
   if (faster.ok()) {
     std::printf("\nRe-issued dataflow with the index available: %.1f s "
                 "(was %.1f s)\n",
-                faster->front().makespan(), plan.makespan());
+                faster->makespan(), plan.makespan());
   }
   return 0;
 }

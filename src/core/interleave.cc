@@ -1,42 +1,35 @@
 #include "core/interleave.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/knapsack.h"
 
 namespace dfim {
 
-Result<std::vector<Schedule>> Interleaver::Interleave(
-    const Dag& dag, const std::vector<Seconds>& durations,
-    double build_fraction) const {
-  switch (mode_) {
-    case InterleaveMode::kNone:
-      return scheduler_.ScheduleDag(dag, durations, /*place_optional=*/false);
-    case InterleaveMode::kOnline:
-      return scheduler_.ScheduleDag(dag, durations,
-                                    /*place_optional=*/build_fraction > 0);
-    case InterleaveMode::kLp: {
-      // Algorithm 2: schedule the dataflow alone, then pack every schedule
-      // in the skyline with build ops.
-      DFIM_ASSIGN_OR_RETURN(
-          std::vector<Schedule> skyline,
-          scheduler_.ScheduleDag(dag, durations, /*place_optional=*/false));
-      if (build_fraction <= 0) return skyline;
-      std::vector<int> build_ops;
-      for (const auto& op : dag.ops()) {
-        if (op.optional) build_ops.push_back(op.id);
-      }
-      for (auto& s : skyline) {
-        s = PackIntoIdleSlots(s, dag, durations, build_ops, build_fraction);
-      }
-      return skyline;
-    }
+Result<Schedule> Interleaver::Interleave(const Dag& dag,
+                                         const std::vector<Seconds>& durations,
+                                         double build_fraction) const {
+  // kOnline places build ops inside the skyline search; kLp (Algorithm 2)
+  // schedules the dataflow alone and packs the fastest point afterwards.
+  const bool place_optional =
+      mode_ == InterleaveMode::kOnline && build_fraction > 0;
+  DFIM_ASSIGN_OR_RETURN(
+      std::vector<Schedule> skyline,
+      scheduler_.ScheduleDag(dag, durations, place_optional));
+  if (skyline.empty()) return Status::Internal("empty schedule skyline");
+  Schedule fastest = std::move(skyline.front());
+  if (mode_ != InterleaveMode::kLp || build_fraction <= 0) return fastest;
+  std::vector<int> build_ops;
+  for (const auto& op : dag.ops()) {
+    if (op.optional) build_ops.push_back(op.id);
   }
-  return Status::InvalidArgument("unknown interleave mode");
+  return PackIntoIdleSlots(std::move(fastest), dag, durations, build_ops,
+                           build_fraction);
 }
 
 Schedule Interleaver::PackIntoIdleSlots(
-    const Schedule& schedule, const Dag& dag,
+    Schedule schedule, const Dag& dag,
     const std::vector<Seconds>& durations,
     const std::vector<int>& build_op_ids, double capacity_fraction) const {
   const Seconds quantum = scheduler_.options().quantum;
@@ -72,7 +65,6 @@ Schedule Interleaver::PackIntoIdleSlots(
 
   MultiSlotPacking packing = PackSlotsLp(items, slot_sizes);
 
-  Schedule out = schedule;
   for (size_t s = 0; s < packing.chosen.size(); ++s) {
     if (packing.chosen[s].empty()) continue;
     // Within a slot, run highest-gain first so estimation-error overruns
@@ -91,10 +83,10 @@ Schedule Interleaver::PackIntoIdleSlots(
       a.end = cursor + durations[static_cast<size_t>(id)];
       a.optional = true;
       cursor = a.end;
-      out.Add(a);
+      schedule.Add(a);
     }
   }
-  return out;
+  return schedule;
 }
 
 }  // namespace dfim

@@ -33,8 +33,11 @@ class Interleaver {
   Interleaver(SchedulerOptions options, InterleaveMode mode)
       : scheduler_(options), mode_(mode) {}
 
-  /// \brief Returns the skyline of schedules, each containing the dataflow
-  /// assignments and whatever build ops were interleaved.
+  /// \brief Returns the fastest interleaved schedule (paper §5.2 runs the
+  /// fastest skyline point): the dataflow assignments plus whatever build
+  /// ops were interleaved. kLp packs only that point — packing never
+  /// reorders the skyline, so this equals packing every point and taking
+  /// the front.
   ///
   /// `build_fraction` in [0, 1] is the overload-brownout knob: it scales
   /// the idle-slot capacity offered to the build-op knapsack (kLp), so
@@ -42,17 +45,17 @@ class Interleaver {
   /// default) is bit-identical to the unthrottled path; 0 packs nothing.
   /// kOnline mode is throttled upstream (the tuner caps the candidate
   /// list), since its optional ops are placed inside the skyline search.
-  Result<std::vector<Schedule>> Interleave(
-      const Dag& dag, const std::vector<Seconds>& durations,
-      double build_fraction = 1.0) const;
+  Result<Schedule> Interleave(const Dag& dag,
+                              const std::vector<Seconds>& durations,
+                              double build_fraction = 1.0) const;
 
   /// \brief The LP packing step alone (Algorithm 2, lines 7-18): packs the
   /// given build ops into the idle slots of `schedule` by per-slot 0/1
   /// knapsack, highest-gain-first within each slot. `capacity_fraction`
   /// scales the capacity of every idle slot (brownout; 1.0 = full slots).
   ///
-  /// Returns the schedule with the chosen build assignments appended.
-  Schedule PackIntoIdleSlots(const Schedule& schedule, const Dag& dag,
+  /// Returns the schedule with the chosen build assignments inserted.
+  Schedule PackIntoIdleSlots(Schedule schedule, const Dag& dag,
                              const std::vector<Seconds>& durations,
                              const std::vector<int>& build_op_ids,
                              double capacity_fraction = 1.0) const;

@@ -249,30 +249,23 @@ Result<TunerDecision> QaasService::BaselineDecision(const Dataflow& df,
   }
   SkylineScheduler scheduler(sched);
   DFIM_ASSIGN_OR_RETURN(
-      d.skyline,
+      std::vector<Schedule> skyline,
       scheduler.ScheduleDag(d.combined, d.durations, /*place_optional=*/false));
-  if (d.skyline.empty()) return Status::Internal("empty skyline");
-  d.chosen = d.skyline.front();
+  if (skyline.empty()) return Status::Internal("empty skyline");
+  d.chosen = std::move(skyline.front());
 
   if (opts_.policy == IndexPolicy::kRandom) {
     // Random assignment: each build op goes to the tail of a random
     // container, extending its lease (and the bill) as needed.
     int nc = std::max(1, d.chosen.num_containers());
-    std::vector<Seconds> tail(static_cast<size_t>(nc), 0);
-    for (const auto& a : d.chosen.assignments()) {
-      tail[static_cast<size_t>(a.container)] =
-          std::max(tail[static_cast<size_t>(a.container)], a.end);
-    }
     for (const auto& op : d.combined.ops()) {
       if (!op.optional) continue;
-      auto c = static_cast<size_t>(rng_.UniformInt(0, nc - 1));
       Assignment a;
       a.op_id = op.id;
-      a.container = static_cast<int>(c);
-      a.start = tail[c];
+      a.container = static_cast<int>(rng_.UniformInt(0, nc - 1));
+      a.start = d.chosen.last_end(a.container);
       a.end = a.start + d.durations[static_cast<size_t>(op.id)];
       a.optional = true;
-      tail[c] = a.end;
       d.chosen.Add(a);
       ++d.build_ops_scheduled;
     }
@@ -306,6 +299,13 @@ uint64_t PersistKey(const std::string& index_id, int partition, int retry) {
 /// be independent of the primary's. Bit 60 keeps it disjoint from the
 /// simulator's read-hedge (bit 62) and clone (bit 61) salts.
 constexpr uint64_t kPersistHedgeBit = 1ULL << 60;
+
+/// Capped exponential backoff between storage Put retries.
+constexpr Seconds kStorageBackoffInitial = 1.0;
+constexpr Seconds kStorageBackoffCap = 30.0;
+
+/// History list capacity (older records fade to ~0 anyway).
+constexpr size_t kMaxHistory = 256;
 
 }  // namespace
 
@@ -472,7 +472,8 @@ void QaasService::ScheduleRepairs(TunerDecision* decision,
   // the slot search sees every existing assignment, optional ones included.
   Interleaver interleaver(opts_.tuner.sched, InterleaveMode::kLp);
   Schedule packed = interleaver.PackIntoIdleSlots(
-      decision->chosen, decision->combined, decision->durations, repair_ids);
+      std::move(decision->chosen), decision->combined, decision->durations,
+      repair_ids);
   std::set<int> packed_ids;
   for (const auto& a : packed.assignments()) packed_ids.insert(a.op_id);
   for (int id : repair_ids) {
@@ -826,7 +827,7 @@ void QaasService::ChargeAttempt(const ExecResult& exec,
                                 Seconds t0, ServiceMetrics* metrics) {
   // Lease bookkeeping: extend each container through its realized end
   // (Timeline::last_end() is the per-container high-water mark).
-  std::vector<Timeline> actual_tls = exec.actual.BuildTimelines();
+  const std::vector<Timeline>& actual_tls = exec.actual.timelines();
   for (size_t c = 0; c < containers.size() && c < actual_tls.size(); ++c) {
     Seconds last = actual_tls[c].last_end();
     if (last > 0) fleet_.ChargeThrough(containers[c], t0 + last);
@@ -906,7 +907,7 @@ Seconds QaasService::LandBuilds(const ExecResult& exec,
           (!breaker_on || breaker_state_ == BreakerState::kClosed);
       bool persisted = false;
       bool primary_ok = false;
-      Seconds backoff = opts_.storage_backoff_initial;
+      Seconds backoff = kStorageBackoffInitial;
       for (int r = 0; r <= retries; ++r) {
         const uint64_t pkey = PersistKey(b.index_id, b.partition, r);
         if (!fault_model->StorageOpFaults(fi.run_key, pkey)) {
@@ -951,7 +952,7 @@ Seconds QaasService::LandBuilds(const ExecResult& exec,
         if (persisted) break;  // the hedge saved the round: no backoff
         if (r < retries) {
           persist_delay += backoff;
-          backoff = std::min(backoff * 2.0, opts_.storage_backoff_cap);
+          backoff = std::min(backoff * 2.0, kStorageBackoffCap);
         }
       }
       if (persisted && primary_ok && breaker_on) {
@@ -1103,7 +1104,7 @@ void QaasService::RecordHistory(const Dataflow& df, Seconds finish,
     }
   }
   history_.push_back(std::move(rec));
-  while (history_.size() > opts_.max_history) history_.pop_front();
+  while (history_.size() > kMaxHistory) history_.pop_front();
 }
 
 void QaasService::ApplyDeletions(const std::vector<std::string>& to_delete,
@@ -1199,16 +1200,17 @@ Result<TunerDecision> QaasService::MergeDecisions(
     sched.max_containers = fleet_bound;
   }
   SkylineScheduler scheduler(sched);
-  DFIM_ASSIGN_OR_RETURN(merged.skyline,
+  DFIM_ASSIGN_OR_RETURN(std::vector<Schedule> skyline,
                         scheduler.ScheduleDag(merged.combined,
                                               merged.durations,
                                               /*place_optional=*/false));
-  if (merged.skyline.empty()) return Status::Internal("empty batch skyline");
-  merged.chosen = merged.skyline.front();
+  if (skyline.empty()) return Status::Internal("empty batch skyline");
+  merged.chosen = std::move(skyline.front());
   if (!build_ids.empty() && build_fraction > 0) {
     Interleaver interleaver(sched, InterleaveMode::kLp);
     merged.chosen = interleaver.PackIntoIdleSlots(
-        merged.chosen, merged.combined, merged.durations, build_ids);
+        std::move(merged.chosen), merged.combined, merged.durations,
+        build_ids);
     for (const auto& a : merged.chosen.assignments()) {
       if (a.optional) ++merged.build_ops_scheduled;
     }

@@ -169,8 +169,6 @@ struct ServiceOptions {
   /// Tables touched per batch.
   int update_tables_per_batch = 1;
   /// @}
-  /// History list capacity (older records fade to ~0 anyway).
-  size_t max_history = 256;
   /// \name Fault injection & recovery
   /// @{
   /// Fault rates (all zero by default — injection disabled, and the whole
@@ -183,11 +181,10 @@ struct ServiceOptions {
   /// the dataflow is recorded as failed instead of wedging the horizon loop.
   int max_recovery_attempts = 3;
   /// Storage `Put` of a completed index partition retries this many times
-  /// on transient faults, with capped exponential backoff; a partition that
-  /// was never persisted is discarded (no catalog entry).
+  /// on transient faults, with capped exponential backoff (1 s doubling to
+  /// 30 s); a partition that was never persisted is discarded (no catalog
+  /// entry).
   int storage_put_max_retries = 4;
-  Seconds storage_backoff_initial = 1.0;
-  Seconds storage_backoff_cap = 30.0;
   /// @}
   /// \name Overload robustness (all defaults keep the closed-loop paths
   /// bit-identical to a service without overload support).

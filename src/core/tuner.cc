@@ -329,14 +329,12 @@ Result<TunerDecision> OnlineIndexTuner::OnDataflow(
     bounded.max_containers = max_containers;
     Interleaver scoped(bounded, opts_.mode);
     DFIM_ASSIGN_OR_RETURN(
-        d.skyline, scoped.Interleave(d.combined, d.durations, build_fraction));
+        d.chosen, scoped.Interleave(d.combined, d.durations, build_fraction));
   } else {
     DFIM_ASSIGN_OR_RETURN(
-        d.skyline,
+        d.chosen,
         interleaver_.Interleave(d.combined, d.durations, build_fraction));
   }
-  if (d.skyline.empty()) return Status::Internal("empty schedule skyline");
-  d.chosen = d.skyline.front();
   for (const auto& a : d.chosen.assignments()) {
     if (a.optional) ++d.build_ops_scheduled;
   }

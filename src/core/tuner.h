@@ -36,9 +36,8 @@ struct TunerDecision {
   std::vector<Seconds> durations;
   /// Execution-simulator costs per combined op id.
   std::vector<SimOpCost> costs;
-  /// The skyline of interleaved schedules (Sdf + SBI).
-  std::vector<Schedule> skyline;
-  /// The selected schedule — the fastest, per §5.2.
+  /// The selected schedule (Sdf + SBI): the fastest interleaved skyline
+  /// point, per §5.2.
   Schedule chosen;
   /// Indexes to delete (DI).
   std::vector<std::string> to_delete;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <set>
 
@@ -36,6 +37,23 @@ struct DfState {
         saw_crash(nc, 0) {}
 };
 
+/// Entry indices of `tl` in dispatch order: timeline order, with each run
+/// of exactly equal starts taken by op id (Timeline::Insert puts the latest
+/// insert first among equal starts, which is not a dispatch rule).
+std::vector<size_t> DispatchOrder(const Timeline& tl) {
+  std::vector<size_t> order(tl.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  for (size_t lo = 0; lo < order.size();) {
+    size_t hi = lo + 1;
+    while (hi < order.size() && tl.start(hi) == tl.start(lo)) ++hi;
+    std::sort(order.begin() + static_cast<std::ptrdiff_t>(lo),
+              order.begin() + static_cast<std::ptrdiff_t>(hi),
+              [&tl](size_t x, size_t y) { return tl.op_id(x) < tl.op_id(y); });
+    lo = hi;
+  }
+  return order;
+}
+
 /// One clone's occupancy on its host: [start, busy_end) blocks Phase-2
 /// builds; the tail of the reservation past busy_end is the slot time a
 /// cancellation handed back to the build knapsack.
@@ -65,17 +83,20 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
   if (costs.size() != dag.num_ops()) {
     return Status::InvalidArgument("costs size != number of ops");
   }
-  for (const auto& a : plan.assignments()) {
-    if (a.op_id < 0 || static_cast<size_t>(a.op_id) >= dag.num_ops()) {
-      return Status::InvalidArgument("plan references op " +
-                                     std::to_string(a.op_id) +
-                                     " outside the dag");
-    }
-    if (a.container < 0) {
-      return Status::InvalidArgument("plan places op " +
-                                     std::to_string(a.op_id) +
-                                     " on negative container " +
-                                     std::to_string(a.container));
+  if (const auto& bad = plan.rejected(); bad.has_value()) {
+    return Status::InvalidArgument("plan places op " +
+                                   std::to_string(bad->op_id) +
+                                   " on negative container " +
+                                   std::to_string(bad->container));
+  }
+  const std::vector<Timeline>& plan_tls = plan.timelines();
+  for (const Timeline& tl : plan_tls) {
+    for (size_t i = 0; i < tl.size(); ++i) {
+      const int id = tl.op_id(i);
+      if (id < 0 || static_cast<size_t>(id) >= dag.num_ops()) {
+        return Status::InvalidArgument("plan references op " +
+                                       std::to_string(id) + " outside the dag");
+      }
     }
   }
   for (size_t i = 0; i < costs.size(); ++i) {
@@ -119,24 +140,19 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
     actual_flow[i] = perturb(dag.flows()[i].size, opts_.data_error);
   }
 
-  auto sorted = plan.SortedByContainer();
-  // Per-container planned sequences (already sorted by start within each).
+  // Per-container planned sequences: each timeline's entry indices in
+  // dispatch order.
   int nc = plan.num_containers();
-  std::vector<std::vector<const Assignment*>> seq(static_cast<size_t>(nc));
-  for (const auto& a : sorted) {
-    seq[static_cast<size_t>(a.container)].push_back(&a);
-  }
-  std::vector<Seconds> planned_end(static_cast<size_t>(nc), 0);
-  for (int c = 0; c < nc; ++c) {
-    for (const Assignment* a : seq[static_cast<size_t>(c)]) {
-      planned_end[static_cast<size_t>(c)] =
-          std::max(planned_end[static_cast<size_t>(c)], a->end);
-    }
-  }
-
+  std::vector<std::vector<size_t>> seq(static_cast<size_t>(nc));
   // Container placement per op (for flow transfer decisions).
   std::vector<int> placed(dag.num_ops(), -1);
-  for (const auto& a : sorted) placed[static_cast<size_t>(a.op_id)] = a.container;
+  for (int c = 0; c < nc; ++c) {
+    const Timeline& tl = plan_tls[static_cast<size_t>(c)];
+    seq[static_cast<size_t>(c)] = DispatchOrder(tl);
+    for (size_t i = 0; i < tl.size(); ++i) {
+      placed[static_cast<size_t>(tl.op_id(i))] = c;
+    }
+  }
 
   std::vector<LruCache*> real_cache(static_cast<size_t>(nc), nullptr);
   if (containers != nullptr) {
@@ -194,14 +210,17 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
   // ---- Phase 1: dataflow operators. --------------------------------------
   // Global planned-start order is a topological order for schedules built by
   // our schedulers (children always start after parents end in the plan).
-  std::vector<const Assignment*> df_plan;
-  for (const auto& a : sorted) {
-    if (!a.optional) df_plan.push_back(&a);
+  std::vector<Assignment> df_plan;
+  for (int c = 0; c < nc; ++c) {
+    const Timeline& tl = plan_tls[static_cast<size_t>(c)];
+    for (size_t i : seq[static_cast<size_t>(c)]) {
+      if (!tl.optional(i)) df_plan.push_back(tl.At(i, c));
+    }
   }
   std::stable_sort(df_plan.begin(), df_plan.end(),
-                   [](const Assignment* x, const Assignment* y) {
-                     if (x->start != y->start) return x->start < y->start;
-                     return x->op_id < y->op_id;
+                   [](const Assignment& x, const Assignment& y) {
+                     if (x.start != y.start) return x.start < y.start;
+                     return x.op_id < y.op_id;
                    });
 
   // Pre-summed outbound flow per op: a winning clone ships its output back
@@ -237,20 +256,20 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
     if (do_spec) {
       remaining.assign(static_cast<size_t>(nc), 0);
       tl.resize(static_cast<size_t>(nc));
-      for (const Assignment* a : df_plan) {
-        ++remaining[static_cast<size_t>(a->container)];
+      for (const Assignment& a : df_plan) {
+        ++remaining[static_cast<size_t>(a.container)];
       }
     }
-    for (const Assignment* a : df_plan) {
-      auto id = static_cast<size_t>(a->op_id);
-      auto c = static_cast<size_t>(a->container);
+    for (const Assignment& a : df_plan) {
+      auto id = static_cast<size_t>(a.op_id);
+      auto c = static_cast<size_t>(a.container);
       Seconds est = st->df_cursor[c];
       // Cross-container flows serialize on the consumer's NIC: they extend
       // the op's busy time instead of merely delaying its start.
       Seconds flow_transfer = 0;
       std::vector<int> to_stage;
       bool doomed = false;
-      for (int fid : dag.in_flows(a->op_id)) {
+      for (int fid : dag.in_flows(a.op_id)) {
         const Flow& f = dag.flows()[static_cast<size_t>(fid)];
         if (st->lost[static_cast<size_t>(f.from)]) {
           // The producer died with its container: this op can never run.
@@ -261,10 +280,10 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
         if (pf < 0) {
           return Status::Internal(
               "plan is not dependency-ordered: parent of op " +
-              std::to_string(a->op_id) + " not finished");
+              std::to_string(a.op_id) + " not finished");
         }
         est = std::max(est, pf);
-        if (placed[static_cast<size_t>(f.from)] != a->container &&
+        if (placed[static_cast<size_t>(f.from)] != a.container &&
             delivered[c].count(f.from) == 0 &&
             std::find(to_stage.begin(), to_stage.end(), f.from) ==
                 to_stage.end()) {
@@ -283,7 +302,7 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
       if (doomed) {
         st->lost[id] = 1;
         if (out != nullptr) {
-          out->lost_ops.push_back(LostOp{a->op_id, a->container, false});
+          out->lost_ops.push_back(LostOp{a.op_id, a.container, false});
         }
         if (do_spec) --remaining[c];
         continue;
@@ -320,11 +339,11 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
           bool primary_fault =
               inject && fmodel != nullptr &&
               fmodel->StorageOpFaults(run_key,
-                                      static_cast<uint64_t>(a->op_id));
+                                      static_cast<uint64_t>(a.op_id));
           bool dup_fault =
               do_hedge && fmodel != nullptr &&
               fmodel->StorageOpFaults(
-                  run_key, static_cast<uint64_t>(a->op_id) | kHedgeAttemptBit);
+                  run_key, static_cast<uint64_t>(a.op_id) | kHedgeAttemptBit);
           ReadOutcome read = StorageService::SimulateRead(
               base_read, primary_fault, fault_latency, do_hedge,
               spec.hedge_after, dup_fault);
@@ -369,8 +388,8 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
         st->lost[id] = 1;
         st->saw_crash[c] = 1;
         if (out != nullptr) {
-          out->lost_ops.push_back(LostOp{a->op_id, a->container, false});
-          Assignment partial = *a;
+          out->lost_ops.push_back(LostOp{a.op_id, a.container, false});
+          Assignment partial = a;
           partial.start = start;
           partial.end = crash_at[c];
           out->actual.Add(partial);
@@ -379,7 +398,7 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
         if (do_spec) {
           --remaining[c];
           tl[c].Insert(
-              Assignment{a->op_id, a->container, start, crash_at[c], false});
+              Assignment{a.op_id, a.container, start, crash_at[c], false});
         }
         continue;
       }
@@ -412,7 +431,7 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
           bool clone_fault =
               actual_input[id] > 0 && fmodel != nullptr &&
               fmodel->StorageOpFaults(
-                  run_key, static_cast<uint64_t>(a->op_id) | kCloneAttemptBit);
+                  run_key, static_cast<uint64_t>(a.op_id) | kCloneAttemptBit);
           Seconds clone_read =
               actual_input[id] > 0
                   ? actual_input[id] / opts_.net_mb_per_sec +
@@ -425,12 +444,12 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
           Seconds best_dur = 0;
           for (int h = 0; h < nc; ++h) {
             auto hi = static_cast<size_t>(h);
-            if (h == a->container) continue;
+            if (h == a.container) continue;
             if (remaining[hi] != 0) continue;  // host not drained
             if (slow[hi] != 1.0) continue;     // healthy hosts only
             Seconds clone_flow = 0;
             std::vector<int> seen;
-            for (int fid : dag.in_flows(a->op_id)) {
+            for (int fid : dag.in_flows(a.op_id)) {
               const Flow& f = dag.flows()[static_cast<size_t>(fid)];
               if (placed[static_cast<size_t>(f.from)] == h) continue;
               if (delivered[hi].count(f.from) != 0) continue;
@@ -483,13 +502,13 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
                     std::max(0.0, best_end - busy_end);
               }
               out->actual.Add(
-                  Assignment{a->op_id, best_host, best_t0, busy_end, false});
+                  Assignment{a.op_id, best_host, best_t0, busy_end, false});
             }
             // The reservation blocks later clones for the clone's full
             // duration (a cancellation can't be predicted at placement
             // time); Phase-2 builds only yield to the realized occupancy,
             // so cancelled tail time flows back to the build knapsack.
-            tl[hi].Insert(Assignment{a->op_id, best_host, best_t0,
+            tl[hi].Insert(Assignment{a.op_id, best_host, best_t0,
                                      best_t0 + best_dur, true});
             if (occ != nullptr) {
               (*occ)[hi].push_back(CloneOccupancy{best_t0, busy_end});
@@ -501,14 +520,14 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
         // cancelled by a winning clone — either way the slot frees at
         // final_end.
         tl[c].Insert(
-            Assignment{a->op_id, a->container, start, final_end, false});
+            Assignment{a.op_id, a.container, start, final_end, false});
       }
       st->finish[id] = final_end;
       st->df_start[id] = start;
       st->df_cursor[c] = final_end;
       if (out != nullptr) {
         out->makespan = std::max(out->makespan, final_end);
-        Assignment actual = *a;
+        Assignment actual = a;
         actual.start = start;
         actual.end = final_end;
         out->actual.Add(actual);
@@ -540,7 +559,7 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
     floor_quanta.assign(static_cast<size_t>(nc), 0);
     for (int c = 0; c < nc; ++c) {
       auto i = static_cast<size_t>(c);
-      Seconds span = std::max(planned_end[i], sh.df_cursor[i]);
+      Seconds span = std::max(plan_tls[i].last_end(), sh.df_cursor[i]);
       bool crashed =
           inject && (sh.saw_crash[i] != 0 || crash_at[i] < span - 1e-9);
       Seconds lease_span = crashed ? std::min(span, crash_at[i]) : span;
@@ -573,9 +592,10 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
   Seconds busy_total = 0;
   for (int c = 0; c < nc; ++c) {
     auto ci = static_cast<size_t>(c);
-    const auto& items = seq[ci];
+    const Timeline& tl = plan_tls[ci];
+    const std::vector<size_t>& items = seq[ci];
     Seconds actual_df_end = st.df_cursor[ci];
-    Seconds span = std::max(planned_end[ci], actual_df_end);
+    Seconds span = std::max(tl.last_end(), actual_df_end);
     bool crashed =
         inject && (st.saw_crash[ci] != 0 || crash_at[ci] < span - 1e-9);
     Seconds lease_span = crashed ? std::min(span, crash_at[ci]) : span;
@@ -600,10 +620,8 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
                                  std::numeric_limits<double>::infinity());
     for (size_t i = items.size(); i-- > 0;) {
       next_df[i] = next_df[i + 1];
-      if (!items[i]->optional &&
-          !st.lost[static_cast<size_t>(items[i]->op_id)]) {
-        next_df[i] = st.df_start[static_cast<size_t>(items[i]->op_id)];
-      }
+      const auto id = static_cast<size_t>(tl.op_id(items[i]));
+      if (!tl.optional(items[i]) && !st.lost[id]) next_df[i] = st.df_start[id];
     }
     auto& occ = clone_occ[ci];
     std::sort(occ.begin(), occ.end(),
@@ -613,9 +631,9 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
     size_t occ_ptr = 0;
     Seconds cursor = 0;
     for (size_t i = 0; i < items.size(); ++i) {
-      const Assignment* a = items[i];
-      auto id = static_cast<size_t>(a->op_id);
-      if (!a->optional) {
+      const Assignment a = tl.At(items[i], c);
+      auto id = static_cast<size_t>(a.op_id);
+      if (!a.optional) {
         if (!st.lost[id]) cursor = std::max(cursor, st.finish[id]);
         continue;
       }
@@ -634,7 +652,7 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
           (inject && start >= notice_at[ci] - 1e-9)) {
         // The container is gone before this build could start, or its
         // reclaim notice has arrived — a draining container starts no builds.
-        result.lost_ops.push_back(LostOp{a->op_id, c, true});
+        result.lost_ops.push_back(LostOp{a.op_id, c, true});
         continue;
       }
       Seconds dur = actual_cpu[id] * slow[ci];  // build time includes its IO
@@ -644,32 +662,32 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
       ++result.executed_ops;
       if (start + dur <= kill_at + 1e-9) {
         end = start + dur;
-        result.builds.push_back(BuildCompletion{dag.op(a->op_id).index_id,
-                                                dag.op(a->op_id).index_partition,
+        result.builds.push_back(BuildCompletion{dag.op(a.op_id).index_id,
+                                                dag.op(a.op_id).index_partition,
                                                 end, c});
       } else if (crashed && kill_at >= crash_at[ci] - 1e-9) {
         // Killed by the crash itself: unlike a preemption, no partial
         // progress survives (it lived on the dead local disk).
         end = crash_at[ci];
         ++result.killed_builds;
-        result.lost_ops.push_back(LostOp{a->op_id, c, true});
+        result.lost_ops.push_back(LostOp{a.op_id, c, true});
       } else {
         end = kill_at;
         ++result.killed_builds;
-        result.kills.push_back(BuildKill{dag.op(a->op_id).index_id,
-                                         dag.op(a->op_id).index_partition,
+        result.kills.push_back(BuildKill{dag.op(a.op_id).index_id,
+                                         dag.op(a.op_id).index_partition,
                                          end - start});
       }
       cursor = end;
-      Assignment actual = *a;
+      Assignment actual = a;
       actual.start = start;
       actual.end = end;
       result.actual.Add(actual);
     }
   }
   // Busy time per container (assignments never overlap), settled off the
-  // same Timeline type the schedulers and interleaver use.
-  for (const Timeline& tl : result.actual.BuildTimelines()) {
+  // realized schedule's own timelines.
+  for (const Timeline& tl : result.actual.timelines()) {
     busy_total += tl.BusySeconds();
   }
 
@@ -704,8 +722,11 @@ Result<RecoverySuffix> PlanRecoverySuffix(
   // re-run too (transitively).
   const std::vector<int>& crashed = exec.failed_containers;
   std::vector<int> placed(attempt_dag.num_ops(), -1);
-  for (const auto& a : attempt_plan.assignments()) {
-    placed[static_cast<size_t>(a.op_id)] = a.container;
+  for (int c = 0; c < attempt_plan.num_containers(); ++c) {
+    const Timeline& tl = attempt_plan.timelines()[static_cast<size_t>(c)];
+    for (size_t i = 0; i < tl.size(); ++i) {
+      placed[static_cast<size_t>(tl.op_id(i))] = c;
+    }
   }
   std::vector<char> ran_here(combined.num_ops(), 0);
   std::vector<int> on_crashed;  // combined ids finished on dead containers

@@ -4,24 +4,22 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <utility>
 
 #include "sched/partial_state.h"
 
 namespace dfim {
 namespace {
 
-/// Typed partial schedule with cached per-container lease summaries, so
-/// probing a candidate never rescans untouched containers (same two-phase
-/// probe/commit structure as the homogeneous SkylineScheduler).
+/// Typed partial schedule. Each timeline keeps its lease summaries O(1), so
+/// probing a candidate never rescans an untouched container's entries (same
+/// two-phase probe/commit structure as the homogeneous SkylineScheduler).
 struct HeteroPartial {
   std::vector<Timeline> timelines;
   std::vector<int> ctype;  // VM type per used container
   std::vector<std::vector<int>> delivered;
   std::vector<Seconds> op_finish;
   std::vector<int> op_container;
-  /// Cached per-container summaries.
-  std::vector<Seconds> last_end;
-  std::vector<int64_t> quanta;
   Seconds makespan = 0;
   Dollars money = 0;
   int num_ops = 0;
@@ -44,16 +42,19 @@ struct HeteroProbe {
 };
 
 /// Total dollars with container `c`'s leased quanta replaced by `new_q` at
-/// type `type_idx`. Summed in container order over the cached quanta, so
-/// the result is bit-identical to a full post-insert rescan.
+/// type `type_idx`. Summed in container order over the timelines' O(1)
+/// lease quanta, so the result is bit-identical to a full post-insert
+/// rescan.
 Dollars MoneyWith(const HeteroPartial& base, int c, int type_idx, int64_t new_q,
-                  const std::vector<VmType>& types) {
+                  Seconds quantum, const std::vector<VmType>& types) {
   Dollars total = 0;
   size_t n = std::max(base.timelines.size(), static_cast<size_t>(c) + 1);
   for (size_t i = 0; i < n; ++i) {
     int64_t q = static_cast<int>(i) == c
                     ? new_q
-                    : (i < base.quanta.size() ? base.quanta[i] : 0);
+                    : (i < base.timelines.size()
+                           ? base.timelines[i].Quanta(quantum)
+                           : 0);
     if (q == 0) continue;
     int t = static_cast<int>(i) == c ? type_idx : base.ctype[i];
     total += static_cast<double>(q) *
@@ -107,11 +108,7 @@ bool Probe(const HeteroPartial& base, int base_idx, const Dag& dag,
                            : kEmptyTimeline;
   Seconds start = tl.FindSlot(est, occupancy);
   Seconds end = start + occupancy;
-  Seconds new_last = std::max(
-      c < static_cast<int>(base.last_end.size())
-          ? base.last_end[static_cast<size_t>(c)]
-          : 0.0,
-      end);
+  Seconds new_last = std::max(tl.last_end(), end);
   int64_t new_q = std::max<int64_t>(1, QuantaCeil(new_last, quantum));
   out->base = base_idx;
   out->container = c;
@@ -119,14 +116,14 @@ bool Probe(const HeteroPartial& base, int base_idx, const Dag& dag,
   out->start = start;
   out->end = end;
   out->makespan = op.optional ? base.makespan : std::max(base.makespan, end);
-  out->money = MoneyWith(base, c, type_idx, new_q, types);
+  out->money = MoneyWith(base, c, type_idx, new_q, quantum, types);
   out->num_ops = base.num_ops + 1;
   out->valid = true;
   return true;
 }
 
 void Commit(const HeteroPartial& base, const Dag& dag, const Operator& op,
-            const HeteroProbe& p, Seconds quantum, HeteroPartial* out) {
+            const HeteroProbe& p, HeteroPartial* out) {
   *out = base;
   int c = p.container;
   auto cs = static_cast<size_t>(c);
@@ -134,8 +131,6 @@ void Commit(const HeteroPartial& base, const Dag& dag, const Operator& op,
     out->timelines.resize(cs + 1);
     out->delivered.resize(cs + 1);
     out->ctype.resize(cs + 1, p.type_idx);
-    out->last_end.resize(cs + 1, 0.0);
-    out->quanta.resize(cs + 1, 0);
   }
   out->ctype[cs] = p.type_idx;
   auto& tl = out->timelines[cs];
@@ -166,8 +161,6 @@ void Commit(const HeteroPartial& base, const Dag& dag, const Operator& op,
   a.end = p.end;
   a.optional = op.optional;
   tl.Insert(a);
-  out->last_end[cs] = std::max(out->last_end[cs], a.end);
-  out->quanta[cs] = std::max<int64_t>(1, QuantaCeil(out->last_end[cs], quantum));
   out->makespan = p.makespan;
   out->money = p.money;
   out->num_ops = p.num_ops;
@@ -207,6 +200,9 @@ Result<std::vector<TypedSchedule>> HeteroSkylineScheduler::ScheduleDag(
   }
   if (types_.empty()) {
     return Status::InvalidArgument("need at least one VM type");
+  }
+  if (opts_.max_containers < 1) {
+    return Status::InvalidArgument("max_containers must be >= 1");
   }
   DFIM_ASSIGN_OR_RETURN(std::vector<int> order, dag.TopologicalOrder());
 
@@ -276,7 +272,7 @@ Result<std::vector<TypedSchedule>> HeteroSkylineScheduler::ScheduleDag(
     next_sky.reserve(probes.size());
     for (const HeteroProbe& p : probes) {
       next_sky.emplace_back();
-      Commit(skyline[static_cast<size_t>(p.base)], dag, op, p, opts_.quantum,
+      Commit(skyline[static_cast<size_t>(p.base)], dag, op, p,
              &next_sky.back());
     }
     skyline.swap(next_sky);
@@ -284,15 +280,10 @@ Result<std::vector<TypedSchedule>> HeteroSkylineScheduler::ScheduleDag(
 
   std::vector<TypedSchedule> out;
   out.reserve(skyline.size());
-  for (const HeteroPartial& p : skyline) {
+  for (HeteroPartial& p : skyline) {
     TypedSchedule ts;
-    for (size_t c = 0; c < p.timelines.size(); ++c) {
-      const Timeline& tl = p.timelines[c];
-      for (size_t i = 0; i < tl.size(); ++i) {
-        ts.schedule.Add(tl.At(i, static_cast<int>(c)));
-      }
-    }
-    ts.container_type = p.ctype;
+    ts.schedule = Schedule(std::move(p.timelines));
+    ts.container_type = std::move(p.ctype);
     ts.money = p.money;
     out.push_back(std::move(ts));
   }

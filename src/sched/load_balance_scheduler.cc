@@ -1,6 +1,7 @@
 #include "sched/load_balance_scheduler.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace dfim {
 
@@ -56,7 +57,6 @@ Result<Schedule> LoadBalanceScheduler::ScheduleDag(
   // sorted vectors, same representation as PartialState::delivered).
   std::vector<std::vector<int>> delivered(nc);
 
-  Schedule schedule;
   for (int id : order) {
     const Operator& op = dag.op(id);
     if (op.optional) continue;  // the baseline does not build indexes
@@ -89,13 +89,12 @@ Result<Schedule> LoadBalanceScheduler::ScheduleDag(
     a.start = est;
     a.end = est + dur;
     a.optional = false;
-    schedule.Add(a);
     tls[c].Insert(a);
     load[c] += dur;
     finish[static_cast<size_t>(id)] = a.end;
     placed[static_cast<size_t>(id)] = static_cast<int>(c);
   }
-  return schedule;
+  return Schedule(std::move(tls));
 }
 
 }  // namespace dfim

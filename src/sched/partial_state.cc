@@ -9,30 +9,11 @@ void PartialState::Reset(size_t num_dag_ops) {
   delivered.clear();
   op_finish.assign(num_dag_ops, -1.0);
   op_container.assign(num_dag_ops, -1);
-  last_end.clear();
-  quanta.clear();
   gap.clear();
   makespan = 0;
   money = 0;
   num_ops = 0;
   max_gap = 0;
-}
-
-void PartialState::RecomputeCaches(Seconds quantum) {
-  size_t n = timelines.size();
-  last_end.resize(n);
-  quanta.resize(n);
-  gap.resize(n);
-  money = 0;
-  max_gap = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const Timeline& tl = timelines[i];
-    last_end[i] = tl.last_end();
-    quanta[i] = tl.Quanta(quantum);
-    gap[i] = tl.MaxGap(quantum);
-    money += quanta[i];
-    max_gap = std::max(max_gap, gap[i]);
-  }
 }
 
 bool ProbePlacement(const PartialState& base, int base_idx, const Dag& dag,
@@ -80,14 +61,9 @@ bool ProbePlacement(const PartialState& base, int base_idx, const Dag& dag,
   a.start = start;
   a.end = start + occupancy;
   a.optional = op.optional;
-  // Money delta from the touched container's cached lease end alone.
-  int64_t old_q =
-      c < static_cast<int>(base.quanta.size()) ? base.quanta[static_cast<size_t>(c)] : 0;
-  Seconds new_last_end = std::max(
-      c < static_cast<int>(base.last_end.size())
-          ? base.last_end[static_cast<size_t>(c)]
-          : 0.0,
-      a.end);
+  // Money delta from the touched container's lease end alone.
+  int64_t old_q = tl.Quanta(quantum);
+  Seconds new_last_end = std::max(tl.last_end(), a.end);
   int64_t new_q = std::max<int64_t>(1, QuantaCeil(new_last_end, quantum));
   int64_t money = base.money - old_q + new_q;
   if (op.optional && money > base.money) {
@@ -118,16 +94,13 @@ bool ProbePlacement(const PartialState& base, int base_idx, const Dag& dag,
 }
 
 void CommitPlacement(const PartialState& base, const Dag& dag,
-                     const PlacementProbe& probe, Seconds quantum,
-                     PartialState* out) {
+                     const PlacementProbe& probe, PartialState* out) {
   *out = base;
   int c = probe.container;
   auto cs = static_cast<size_t>(c);
   if (c >= static_cast<int>(out->timelines.size())) {
     out->timelines.resize(cs + 1);
     out->delivered.resize(cs + 1);
-    out->last_end.resize(cs + 1, 0.0);
-    out->quanta.resize(cs + 1, 0);
     out->gap.resize(cs + 1, 0.0);
   }
   auto& tl = out->timelines[cs];
@@ -163,8 +136,6 @@ void CommitPlacement(const PartialState& base, const Dag& dag,
   a.end = probe.end;
   a.optional = probe.optional;
   tl.Insert(a);
-  out->last_end[cs] = std::max(out->last_end[cs], a.end);
-  out->quanta[cs] = std::max<int64_t>(1, QuantaCeil(out->last_end[cs], quantum));
   out->gap[cs] = probe.gap_c;
   out->makespan = probe.makespan;
   out->money = probe.money;

@@ -35,15 +35,11 @@ struct SchedulerOptions {
   /// 1 = serial. Results are bit-identical regardless of the value: probes
   /// land in pre-assigned slots and are merged in enumeration order.
   int num_threads = 1;
-  /// When true, SkylineScheduler uses the retained naive expansion
-  /// (deep-copy every candidate, recompute money/gaps from scratch). Kept
-  /// as the reference implementation for equivalence tests and benches.
-  bool use_naive_expansion = false;
 };
 
-/// \brief A partial schedule in a skyline search, with per-container money
-/// and idle-gap summaries cached so evaluating a candidate placement never
-/// rescans containers it does not touch.
+/// \brief A partial schedule in a skyline search, with per-container idle-gap
+/// summaries cached so evaluating a candidate placement never rescans
+/// containers it does not touch.
 struct PartialState {
   /// Per-container sorted, non-overlapping assignments (SoA Timelines with
   /// incrementally maintained lease/gap summaries).
@@ -56,15 +52,10 @@ struct PartialState {
   std::vector<Seconds> op_finish;
   /// Container per op id (-1 when unassigned).
   std::vector<int> op_container;
-  /// \name Cached per-container summaries (see RecomputeCaches).
-  /// @{
-  /// Latest assignment end per container (0 for an empty timeline).
-  std::vector<Seconds> last_end;
-  /// Leased quanta per container (0 for an empty timeline).
-  std::vector<int64_t> quanta;
-  /// Largest idle gap per container, including the paid lease tail.
+  /// Largest idle gap per container, including the paid lease tail. Cached
+  /// because a probe scans it across every container; the lease end and
+  /// quanta of the one touched container are O(1) Timeline reads.
   std::vector<Seconds> gap;
-  /// @}
   Seconds makespan = 0;  // mandatory ops only
   int64_t money = 0;     // leased quanta summed over containers
   int num_ops = 0;
@@ -73,13 +64,6 @@ struct PartialState {
 
   /// Resets to the empty schedule over `num_dag_ops` operators.
   void Reset(size_t num_dag_ops);
-
-  /// Rebuilds every cached summary (quanta, gap, money, max_gap) from the
-  /// timelines alone. The naive reference path calls this after every
-  /// placement; the incremental path only at commit, for the touched
-  /// container. The per-timeline summaries are O(1) reads — Timeline
-  /// maintains them on Insert.
-  void RecomputeCaches(Seconds quantum);
 };
 
 /// \brief A probed candidate placement: every dominance-relevant metric of
@@ -134,8 +118,7 @@ bool ProbePlacement(const PartialState& base, int base_idx, const Dag& dag,
 /// Materializes the child described by a surviving probe: one copy of the
 /// base plus an O(touched timeline) cache refresh.
 void CommitPlacement(const PartialState& base, const Dag& dag,
-                     const PlacementProbe& probe, Seconds quantum,
-                     PartialState* out);
+                     const PlacementProbe& probe, PartialState* out);
 
 /// \brief Caps `kept` at `cap` evenly spaced survivors, always including
 /// the first (fastest) and last (cheapest) endpoints.
@@ -167,8 +150,9 @@ void SampleEvenlySpaced(std::vector<T>* kept, int cap) {
 /// sequential idle gap (§5.3.1), capped at `cap` evenly spaced survivors.
 ///
 /// Works on anything exposing makespan/money/num_ops/max_gap members
-/// (PartialState for the naive path, PlacementProbe for the incremental
-/// one), so both engines prune with byte-identical semantics.
+/// (PlacementProbe here, PartialState in the copy-everything reference
+/// engine of the equivalence tests), so both prune with byte-identical
+/// semantics.
 /// Equal-(makespan, money) duplicates are filtered *before* dominance and
 /// cap sampling, so they can never crowd out distinct trade-off points.
 template <typename T>

@@ -2,85 +2,69 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace dfim {
 
-void Schedule::Add(Assignment a) { assignments_.push_back(a); }
+size_t AssignmentView::size() const {
+  size_t n = 0;
+  for (const Timeline& tl : *tls_) n += tl.size();
+  return n;
+}
 
-int Schedule::num_containers() const {
-  int max_c = -1;
-  for (const auto& a : assignments_) max_c = std::max(max_c, a.container);
-  return max_c + 1;
+Schedule::Schedule(std::vector<Timeline> timelines)
+    : timelines_(std::move(timelines)) {
+  while (!timelines_.empty() && timelines_.back().empty()) {
+    timelines_.pop_back();
+  }
+}
+
+void Schedule::Add(const Assignment& a) {
+  if (a.container < 0) {
+    if (!rejected_.has_value()) rejected_ = a;
+    return;
+  }
+  auto c = static_cast<size_t>(a.container);
+  if (c >= timelines_.size()) timelines_.resize(c + 1);
+  timelines_[c].Insert(a);
+}
+
+Seconds Schedule::last_end(int container) const {
+  return container >= 0 && container < num_containers()
+             ? timelines_[static_cast<size_t>(container)].last_end()
+             : 0;
 }
 
 Seconds Schedule::makespan() const {
   Seconds end = 0;
-  for (const auto& a : assignments_) {
-    if (!a.optional) end = std::max(end, a.end);
+  for (const Timeline& tl : timelines_) {
+    for (size_t i = 0; i < tl.size(); ++i) {
+      if (!tl.optional(i)) end = std::max(end, tl.end(i));
+    }
   }
   return end;
 }
 
 Seconds Schedule::TotalSpan() const {
   Seconds end = 0;
-  for (const auto& a : assignments_) end = std::max(end, a.end);
+  for (const Timeline& tl : timelines_) end = std::max(end, tl.last_end());
   return end;
 }
 
 int64_t Schedule::LeasedQuanta(Seconds quantum) const {
-  int nc = num_containers();
-  std::vector<Seconds> last(static_cast<size_t>(nc), 0);
-  for (const auto& a : assignments_) {
-    last[static_cast<size_t>(a.container)] =
-        std::max(last[static_cast<size_t>(a.container)], a.end);
-  }
   int64_t total = 0;
-  for (Seconds t : last) {
-    // A used container is charged at least one quantum.
-    total += std::max<int64_t>(1, QuantaCeil(t, quantum));
+  for (const Timeline& tl : timelines_) {
+    // A used container is charged at least one quantum — and so is an
+    // empty one below the highest used index.
+    total += std::max<int64_t>(1, QuantaCeil(tl.last_end(), quantum));
   }
   return total;
 }
 
-Timeline Schedule::BuildTimeline(int container) const {
-  Timeline tl;
-  for (const auto& a : assignments_) {
-    if (a.container == container) tl.Insert(a);
-  }
-  return tl;
-}
-
-std::vector<Timeline> Schedule::BuildTimelines() const {
-  std::vector<Timeline> tls(static_cast<size_t>(num_containers()));
-  for (const auto& a : assignments_) {
-    tls[static_cast<size_t>(a.container)].Insert(a);
-  }
-  return tls;
-}
-
-std::vector<Assignment> Schedule::ContainerTimeline(int container) const {
-  Timeline tl = BuildTimeline(container);
-  std::vector<Assignment> out;
-  out.reserve(tl.size());
-  for (size_t i = 0; i < tl.size(); ++i) out.push_back(tl.At(i, container));
-  return out;
-}
-
-std::vector<Assignment> Schedule::SortedByContainer() const {
-  std::vector<Assignment> out = assignments_;
-  std::sort(out.begin(), out.end(), [](const Assignment& x, const Assignment& y) {
-    if (x.container != y.container) return x.container < y.container;
-    if (x.start != y.start) return x.start < y.start;
-    return x.op_id < y.op_id;
-  });
-  return out;
-}
-
 std::vector<IdleSlot> Schedule::FindIdleSlots(Seconds quantum) const {
   std::vector<IdleSlot> slots;
-  std::vector<Timeline> tls = BuildTimelines();
-  for (size_t c = 0; c < tls.size(); ++c) {
-    tls[c].AppendIdleSlots(static_cast<int>(c), quantum, &slots);
+  for (size_t c = 0; c < timelines_.size(); ++c) {
+    timelines_[c].AppendIdleSlots(static_cast<int>(c), quantum, &slots);
   }
   return slots;
 }
@@ -92,28 +76,26 @@ Seconds Schedule::TotalIdle(Seconds quantum) const {
 }
 
 bool Schedule::CheckNoOverlap() const {
-  for (const Timeline& tl : BuildTimelines()) {
+  for (const Timeline& tl : timelines_) {
     if (!tl.NoOverlap()) return false;
   }
   return true;
 }
 
 std::string Schedule::ToAscii(Seconds quantum, int cols) const {
-  int nc = num_containers();
-  Seconds span = 0;
-  for (const auto& a : assignments_) span = std::max(span, a.end);
   // Round the horizon up to a whole quantum for readability.
-  span = static_cast<double>(std::max<int64_t>(1, QuantaCeil(span, quantum))) *
-         quantum;
+  const int64_t quanta = std::max<int64_t>(1, QuantaCeil(TotalSpan(), quantum));
+  Seconds span = static_cast<double>(quanta) * quantum;
   std::string out;
   double per_col = span / cols;
-  for (int c = 0; c < nc; ++c) {
+  for (int c = 0; c < num_containers(); ++c) {
+    const Timeline& tl = timelines_[static_cast<size_t>(c)];
     std::string row(static_cast<size_t>(cols), '.');
-    for (const auto& a : ContainerTimeline(c)) {
-      auto lo = static_cast<int>(a.start / per_col);
-      auto hi = static_cast<int>(std::ceil(a.end / per_col));
+    for (size_t i = 0; i < tl.size(); ++i) {
+      auto lo = static_cast<int>(tl.start(i) / per_col);
+      auto hi = static_cast<int>(std::ceil(tl.end(i) / per_col));
       for (int x = lo; x < hi && x < cols; ++x) {
-        row[static_cast<size_t>(x)] = a.optional ? '+' : '#';
+        row[static_cast<size_t>(x)] = tl.optional(i) ? '+' : '#';
       }
     }
     out += "c";

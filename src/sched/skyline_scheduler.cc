@@ -2,92 +2,18 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 
 namespace dfim {
-namespace {
-
-/// \brief Retained naive reference expansion of one candidate: deep-copies
-/// the base state, inserts the assignment, then recomputes every money/gap
-/// summary from scratch over all containers.
-///
-/// This is the pre-incremental O(|state| + containers x |timelines|) hot
-/// path; it is kept (behind SchedulerOptions::use_naive_expansion) as the
-/// ground truth the equivalence tests and the scaling bench compare the
-/// incremental/parallel engine against.
-bool NaiveAssign(const PartialState& base, const Dag& dag, const Operator& op,
-                 Seconds dur, int c, Seconds quantum, double net,
-                 PartialState* out) {
-  Seconds est = 0;
-  Seconds transfer_in = 0;
-  std::vector<int> newly_delivered;
-  const std::vector<int>* delivered_c =
-      c < static_cast<int>(base.delivered.size())
-          ? &base.delivered[static_cast<size_t>(c)]
-          : nullptr;
-  for (int fid : dag.in_flows(op.id)) {
-    const Flow& f = dag.flows()[static_cast<size_t>(fid)];
-    Seconds pf = base.op_finish[static_cast<size_t>(f.from)];
-    if (pf < 0) return false;
-    est = std::max(est, pf);
-    if (base.op_container[static_cast<size_t>(f.from)] != c) {
-      bool staged =
-          delivered_c != nullptr &&
-          std::binary_search(delivered_c->begin(), delivered_c->end(), f.from);
-      if (!staged) {
-        transfer_in += f.size / net;
-        newly_delivered.push_back(f.from);
-      }
-    }
-  }
-  Seconds occupancy = dur + transfer_in;
-  *out = base;
-  if (c >= static_cast<int>(out->timelines.size())) {
-    out->timelines.resize(static_cast<size_t>(c) + 1);
-    out->delivered.resize(static_cast<size_t>(c) + 1);
-  }
-  auto& tl = out->timelines[static_cast<size_t>(c)];
-  auto& dl = out->delivered[static_cast<size_t>(c)];
-  for (int p : newly_delivered) {
-    dl.insert(std::lower_bound(dl.begin(), dl.end(), p), p);
-  }
-  Seconds start = tl.FindSlot(est, occupancy);
-  Assignment a;
-  a.op_id = op.id;
-  a.container = c;
-  a.start = start;
-  a.end = start + occupancy;
-  a.optional = op.optional;
-  tl.Insert(a);
-  out->RecomputeCaches(quantum);
-  if (op.optional) {
-    if (out->money > base.money) return false;
-  } else {
-    out->makespan = std::max(base.makespan, a.end);
-  }
-  out->op_finish[static_cast<size_t>(op.id)] = a.end;
-  out->op_container[static_cast<size_t>(op.id)] = c;
-  out->num_ops = base.num_ops + 1;
-  return true;
-}
-
-Schedule ToSchedule(const PartialState& p) {
-  Schedule s;
-  for (size_t c = 0; c < p.timelines.size(); ++c) {
-    const Timeline& tl = p.timelines[c];
-    for (size_t i = 0; i < tl.size(); ++i) {
-      s.Add(tl.At(i, static_cast<int>(c)));
-    }
-  }
-  return s;
-}
-
-}  // namespace
 
 Result<std::vector<Schedule>> SkylineScheduler::ScheduleDag(
     const Dag& dag, const std::vector<Seconds>& durations,
     bool place_optional) const {
   if (durations.size() != dag.num_ops()) {
     return Status::InvalidArgument("durations size != number of ops");
+  }
+  if (opts_.max_containers < 1) {
+    return Status::InvalidArgument("max_containers must be >= 1");
   }
   DFIM_ASSIGN_OR_RETURN(std::vector<int> order, dag.TopologicalOrder());
 
@@ -106,34 +32,10 @@ Result<std::vector<Schedule>> SkylineScheduler::ScheduleDag(
   empty.Reset(dag.num_ops());
   std::vector<PartialState> skyline{empty};
 
-  // Naive reference engine: materialize every candidate, then prune.
-  auto expand_naive = [this, &dag, &durations, &skyline](int op_id,
-                                                         bool keep_base) {
-    const Operator& op = dag.op(op_id);
-    Seconds dur = durations[static_cast<size_t>(op_id)];
-    std::vector<PartialState> pool;
-    for (const PartialState& base : skyline) {
-      if (keep_base) pool.push_back(base);
-      int used = static_cast<int>(base.timelines.size());
-      int limit = std::min(opts_.max_containers, used + 1);
-      for (int c = 0; c < limit; ++c) {
-        PartialState next;
-        if (NaiveAssign(base, dag, op, dur, c, opts_.quantum,
-                        opts_.net_mb_per_sec, &next)) {
-          pool.push_back(std::move(next));
-        }
-      }
-    }
-    if (!pool.empty()) {
-      SkylinePrune(&pool, opts_.skyline_cap);
-      skyline = std::move(pool);
-    }
-  };
-
-  // Incremental engine: probe every candidate copy-free, prune the probes,
-  // materialize only the survivors. Buffers are pooled across rounds.
+  // Probe every candidate copy-free, prune the probes, materialize only the
+  // survivors. Buffers are pooled across rounds.
   std::unique_ptr<ProbePool> pool;
-  if (!opts_.use_naive_expansion && opts_.num_threads > 1) {
+  if (opts_.num_threads > 1) {
     pool = std::make_unique<ProbePool>(opts_.num_threads);
   }
   std::vector<PlacementProbe> probes;
@@ -145,9 +47,9 @@ Result<std::vector<Schedule>> SkylineScheduler::ScheduleDag(
     const Operator& op = dag.op(op_id);
     Seconds dur = durations[static_cast<size_t>(op_id)];
     // Slot layout per base: [keep-base?] then one slot per candidate
-    // container. Slot order equals the naive enumeration order, which makes
-    // the parallel merge (and thus the whole search) bit-identical to
-    // serial and naive runs.
+    // container. Slot order is the serial enumeration order, which makes
+    // the parallel merge (and thus the whole search) bit-identical to the
+    // serial run.
     const size_t kb = keep_base ? 1 : 0;
     slot_off.clear();
     size_t total = 0;
@@ -195,27 +97,20 @@ Result<std::vector<Schedule>> SkylineScheduler::ScheduleDag(
       } else {
         next_sky.emplace_back();
         CommitPlacement(skyline[static_cast<size_t>(p.base)], dag, p,
-                        opts_.quantum, &next_sky.back());
+                        &next_sky.back());
       }
     }
     skyline.swap(next_sky);
   };
 
-  if (opts_.use_naive_expansion) {
-    for (int id : mandatory) expand_naive(id, /*keep_base=*/false);
-    if (place_optional) {
-      for (int id : optional) expand_naive(id, /*keep_base=*/true);
-    }
-  } else {
-    for (int id : mandatory) expand(id, /*keep_base=*/false);
-    if (place_optional) {
-      for (int id : optional) expand(id, /*keep_base=*/true);
-    }
+  for (int id : mandatory) expand(id, /*keep_base=*/false);
+  if (place_optional) {
+    for (int id : optional) expand(id, /*keep_base=*/true);
   }
 
   std::vector<Schedule> out;
   out.reserve(skyline.size());
-  for (const PartialState& p : skyline) out.push_back(ToSchedule(p));
+  for (PartialState& p : skyline) out.emplace_back(std::move(p.timelines));
   return out;
 }
 

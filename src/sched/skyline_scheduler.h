@@ -28,13 +28,12 @@ namespace dfim {
 ///
 /// Candidate expansion is two-phase: a copy-free *probe* evaluates every
 /// (base, container) placement from the touched container's timeline plus
-/// cached per-container money/gap summaries, the skyline prune runs over
-/// the lightweight probes, and only the <= skyline_cap survivors are
-/// *committed* (one state copy each). SchedulerOptions::num_threads > 1
-/// fans the probes over a pool with slot-deterministic merge order, and
-/// SchedulerOptions::use_naive_expansion selects the retained
-/// copy-everything reference engine; all three modes return bit-identical
-/// schedules.
+/// the cached money total and per-container gap summaries, the skyline
+/// prune runs over the lightweight probes, and only the <= skyline_cap
+/// survivors are *committed* (one state copy each). SchedulerOptions::num_threads > 1
+/// fans the probes over a pool with slot-deterministic merge order; serial
+/// and parallel runs return bit-identical schedules, and both match the
+/// copy-everything reference engine in tests/oracles/skyline_ref.h.
 class SkylineScheduler {
  public:
   explicit SkylineScheduler(SchedulerOptions options) : opts_(options) {}
@@ -47,7 +46,9 @@ class SkylineScheduler {
   /// mandatory ops, best-gain first (the online interleaving algorithm);
   /// when false they are ignored (the LP interleaver packs them into idle
   /// slots itself). Returns the skyline ordered by makespan ascending
-  /// (fastest first); never empty on success.
+  /// (fastest first); never empty on success. Each schedule adopts its
+  /// search state's per-container timelines as they are. A
+  /// `max_containers` below 1 is an InvalidArgument.
   Result<std::vector<Schedule>> ScheduleDag(
       const Dag& dag, const std::vector<Seconds>& durations,
       bool place_optional = true) const;

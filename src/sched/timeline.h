@@ -25,6 +25,7 @@ struct Assignment {
   bool optional = false;
 
   Seconds duration() const { return end - start; }
+  bool operator==(const Assignment&) const = default;
 };
 
 /// \brief An idle slot f(id, q, c, S): a maximal operator-free interval

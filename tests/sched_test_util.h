@@ -50,6 +50,11 @@ inline Dag Independent(int n, Seconds t) {
   return g;
 }
 
+/// A schedule's assignments, container by container in timeline order.
+inline std::vector<Assignment> Entries(const Schedule& s) {
+  return {s.assignments().begin(), s.assignments().end()};
+}
+
 /// Uniform durations vector for a dag (op.time as the duration).
 inline std::vector<Seconds> OpTimes(const Dag& g) {
   std::vector<Seconds> d(g.num_ops());

@@ -137,6 +137,50 @@ TEST(ExecSimulatorTest, BuildOpKilledByDataflowArrival) {
   EXPECT_TRUE(found);
 }
 
+TEST(ExecSimulatorTest, EqualStartsDispatchInOpIdOrder) {
+  // Zero-duration plan entries with equal starts: the timeline keeps the
+  // latest insert first, but dispatch goes by op id. Build op 0 therefore
+  // comes before dataflow op 1 on container 0 and is preempted by op 1's
+  // arrival at t = 0; in timeline order it would run after op 1 instead.
+  Dag g;
+  g.AddOperator(Operator::BuildIndex(0, "idx", 0, 5.0, 64));
+  Operator df;
+  df.time = 10;
+  g.AddOperator(df);
+  Operator df2;
+  df2.time = 3;
+  g.AddOperator(df2);
+  Operator df3;
+  df3.time = 4;
+  g.AddOperator(df3);
+
+  Schedule plan;
+  plan.Add(Assignment{0, 0, 0, 0, true});
+  plan.Add(Assignment{1, 0, 0, 0, false});
+  plan.Add(Assignment{2, 1, 0, 0, false});
+  plan.Add(Assignment{3, 1, 0, 0, false});
+  ASSERT_EQ(plan.timelines()[0].op_id(0), 1);
+  ASSERT_EQ(plan.timelines()[1].op_id(0), 3);
+
+  std::vector<SimOpCost> costs{{5, 0, ""}, {10, 0, ""}, {3, 0, ""},
+                               {4, 0, ""}};
+  ExecSimulator sim(NoError());
+  auto r = sim.Run(g, plan, costs);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->killed_builds, 1);
+  EXPECT_TRUE(r->builds.empty());
+  // Dataflow ops 2 and 3 share container 1: op 2 runs first.
+  for (const auto& a : r->actual.assignments()) {
+    if (a.op_id == 2) {
+      EXPECT_EQ(a.start, 0);
+    }
+    if (a.op_id == 3) {
+      EXPECT_EQ(a.start, 3);
+    }
+  }
+  EXPECT_EQ(r->makespan, 10);
+}
+
 TEST(ExecSimulatorTest, BuildOpKilledAtLeaseEnd) {
   Dag g = Independent(1, 30);
   Operator build = Operator::BuildIndex(1, "idx", 0, 45.0, 64);

@@ -162,15 +162,8 @@ TEST(HeteroSchedulerTest, ParallelProbingIsBitIdenticalToSerial) {
       const TypedSchedule& y = (*b)[i];
       EXPECT_EQ(x.money, y.money) << "seed " << seed;
       EXPECT_EQ(x.container_type, y.container_type) << "seed " << seed;
-      ASSERT_EQ(x.schedule.assignments().size(), y.schedule.assignments().size());
-      for (size_t j = 0; j < x.schedule.assignments().size(); ++j) {
-        const Assignment& ax = x.schedule.assignments()[j];
-        const Assignment& ay = y.schedule.assignments()[j];
-        EXPECT_EQ(ax.op_id, ay.op_id);
-        EXPECT_EQ(ax.container, ay.container);
-        EXPECT_EQ(ax.start, ay.start);  // exact: no float tolerance
-        EXPECT_EQ(ax.end, ay.end);
-      }
+      // Exact: no float tolerance.
+      EXPECT_EQ(testutil::Entries(x.schedule), testutil::Entries(y.schedule));
     }
   }
 }

@@ -56,19 +56,18 @@ int CountBuilds(const Schedule& s) {
 TEST(InterleaveTest, NoneModeSchedulesOnlyDataflow) {
   Dag g = StallDag({5, 5});
   Interleaver il(Opts(), InterleaveMode::kNone);
-  auto skyline = il.Interleave(g, OpTimes(g));
-  ASSERT_TRUE(skyline.ok());
-  for (const auto& s : *skyline) EXPECT_EQ(CountBuilds(s), 0);
+  auto s = il.Interleave(g, OpTimes(g));
+  ASSERT_TRUE(s.ok());
+  EXPECT_EQ(CountBuilds(*s), 0);
 }
 
 TEST(InterleaveTest, LpPacksIdleSlots) {
   Dag g = StallDag({4, 4, 10});
   Interleaver il(Opts(), InterleaveMode::kLp);
-  auto skyline = il.Interleave(g, OpTimes(g));
-  ASSERT_TRUE(skyline.ok());
-  const Schedule& s = skyline->front();
-  EXPECT_GT(CountBuilds(s), 0);
-  EXPECT_TRUE(s.CheckNoOverlap());
+  auto s = il.Interleave(g, OpTimes(g));
+  ASSERT_TRUE(s.ok());
+  EXPECT_GT(CountBuilds(*s), 0);
+  EXPECT_TRUE(s->CheckNoOverlap());
 }
 
 TEST(InterleaveTest, LpDoesNotChangeTimeOrMoney) {
@@ -79,10 +78,15 @@ TEST(InterleaveTest, LpDoesNotChangeTimeOrMoney) {
   auto packed = lp.Interleave(g, OpTimes(g));
   ASSERT_TRUE(base.ok());
   ASSERT_TRUE(packed.ok());
-  ASSERT_EQ(base->size(), packed->size());
-  for (size_t i = 0; i < base->size(); ++i) {
-    EXPECT_NEAR((*packed)[i].makespan(), (*base)[i].makespan(), 1e-9);
-    EXPECT_EQ((*packed)[i].LeasedQuanta(60), (*base)[i].LeasedQuanta(60));
+  EXPECT_NEAR(packed->makespan(), base->makespan(), 1e-9);
+  EXPECT_EQ(packed->LeasedQuanta(60), base->LeasedQuanta(60));
+  // Every skyline point, not just the fastest one the interleaver runs.
+  auto skyline = SkylineScheduler(Opts()).ScheduleDag(g, OpTimes(g), false);
+  ASSERT_TRUE(skyline.ok());
+  for (const Schedule& s : *skyline) {
+    Schedule p = lp.PackIntoIdleSlots(s, g, OpTimes(g), {3, 4, 5, 6, 7});
+    EXPECT_NEAR(p.makespan(), s.makespan(), 1e-9);
+    EXPECT_EQ(p.LeasedQuanta(60), s.LeasedQuanta(60));
   }
 }
 
@@ -96,17 +100,17 @@ TEST(InterleaveTest, OnlineDoesNotChangeTimeOrMoneyEither) {
   ASSERT_TRUE(packed.ok());
   // The online skylines may differ in composition, but the fastest point
   // must not be slower or dearer.
-  EXPECT_NEAR(packed->front().makespan(), base->front().makespan(), 1e-9);
-  EXPECT_LE(packed->front().LeasedQuanta(60), base->front().LeasedQuanta(60));
+  EXPECT_NEAR(packed->makespan(), base->makespan(), 1e-9);
+  EXPECT_LE(packed->LeasedQuanta(60), base->LeasedQuanta(60));
 }
 
 TEST(InterleaveTest, NegativeGainBuildOpsNotPacked) {
   Dag g = StallDag({4});
   g.mutable_op(3).gain = -1.0;
   Interleaver lp(Opts(), InterleaveMode::kLp);
-  auto skyline = lp.Interleave(g, OpTimes(g));
-  ASSERT_TRUE(skyline.ok());
-  EXPECT_EQ(CountBuilds(skyline->front()), 0);
+  auto s = lp.Interleave(g, OpTimes(g));
+  ASSERT_TRUE(s.ok());
+  EXPECT_EQ(CountBuilds(*s), 0);
 }
 
 TEST(InterleaveTest, HighGainBuildsPreferredWithinSlot) {
@@ -119,11 +123,10 @@ TEST(InterleaveTest, HighGainBuildsPreferredWithinSlot) {
   high.gain = 10.0;
   g.AddOperator(high);
   Interleaver lp(Opts(), InterleaveMode::kLp);
-  auto skyline = lp.Interleave(g, OpTimes(g));
-  ASSERT_TRUE(skyline.ok());
-  const Schedule& s = skyline->front();
-  ASSERT_EQ(CountBuilds(s), 1);
-  for (const auto& a : s.assignments()) {
+  auto s = lp.Interleave(g, OpTimes(g));
+  ASSERT_TRUE(s.ok());
+  ASSERT_EQ(CountBuilds(*s), 1);
+  for (const auto& a : s->assignments()) {
     if (a.optional) {
       EXPECT_EQ(g.op(a.op_id).index_id, "high");
     }
@@ -165,12 +168,12 @@ TEST(InterleaveTest, Fig8Shape_LpSchedulesAtLeastAsManyBuildsAsOnline) {
   auto durations = OpTimes(g);
   Interleaver lp(Opts(), InterleaveMode::kLp);
   Interleaver online(Opts(), InterleaveMode::kOnline);
-  auto lp_sky = lp.Interleave(g, durations);
-  auto on_sky = online.Interleave(g, durations);
-  ASSERT_TRUE(lp_sky.ok());
-  ASSERT_TRUE(on_sky.ok());
-  int lp_builds = CountBuilds(lp_sky->front());
-  int on_builds = CountBuilds(on_sky->front());
+  auto lp_s = lp.Interleave(g, durations);
+  auto on_s = online.Interleave(g, durations);
+  ASSERT_TRUE(lp_s.ok());
+  ASSERT_TRUE(on_s.ok());
+  int lp_builds = CountBuilds(*lp_s);
+  int on_builds = CountBuilds(*on_s);
   EXPECT_GT(lp_builds, 0);
   EXPECT_GE(lp_builds, on_builds);
 }

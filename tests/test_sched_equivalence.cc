@@ -1,14 +1,23 @@
 // Scheduler-equivalence regression: the incremental (probe/commit) and
 // parallel skyline engines must return schedules *identical* — same
-// assignments, makespan and money — to the retained naive reference
-// implementation (SchedulerOptions::use_naive_expansion) across seeded
-// random DAGs, including optional-op placement.
+// assignments, makespan and money — to the copy-everything reference engine
+// (tests/oracles/skyline_ref.h) across seeded random DAGs, including
+// optional-op placement. The interleaver, which keeps only the fastest
+// point, must equal the front of the full skyline packed point by point.
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/interleave.h"
+#include "core/tuner.h"
+#include "dataflow/build_index_ops.h"
+#include "dataflow/file_database.h"
+#include "dataflow/generators.h"
+#include "oracles/skyline_ref.h"
+#include "sched/hetero_scheduler.h"
 #include "sched/skyline_scheduler.h"
 #include "sched_test_util.h"
 
@@ -75,17 +84,15 @@ std::vector<Seconds> Durations(const Dag& g) {
              << "schedule " << i << " money " << a[i].LeasedQuanta(quantum)
              << " vs " << b[i].LeasedQuanta(quantum);
     }
-    auto sa = a[i].SortedByContainer();
-    auto sb = b[i].SortedByContainer();
+    auto sa = testutil::Entries(a[i]);
+    auto sb = testutil::Entries(b[i]);
     if (sa.size() != sb.size()) {
       return ::testing::AssertionFailure()
              << "schedule " << i << " has " << sa.size() << " vs " << sb.size()
              << " assignments";
     }
     for (size_t k = 0; k < sa.size(); ++k) {
-      if (sa[k].op_id != sb[k].op_id || sa[k].container != sb[k].container ||
-          sa[k].start != sb[k].start || sa[k].end != sb[k].end ||
-          sa[k].optional != sb[k].optional) {
+      if (sa[k] != sb[k]) {
         return ::testing::AssertionFailure()
                << "schedule " << i << " assignment " << k << " differs: op "
                << sa[k].op_id << "@" << sa[k].container << " [" << sa[k].start
@@ -113,19 +120,15 @@ class SchedEquivalenceTest : public ::testing::Test {
       Dag g = RandomLayeredDag(cfg.width, cfg.depth, cfg.optional_ops, seed);
       auto durations = Durations(g);
 
-      SchedulerOptions naive_opts;
-      naive_opts.max_containers = cfg.max_containers;
-      naive_opts.skyline_cap = cfg.skyline_cap;
-      naive_opts.use_naive_expansion = true;
-
-      SchedulerOptions inc_opts = naive_opts;
-      inc_opts.use_naive_expansion = false;
+      SchedulerOptions inc_opts;
+      inc_opts.max_containers = cfg.max_containers;
+      inc_opts.skyline_cap = cfg.skyline_cap;
 
       SchedulerOptions par_opts = inc_opts;
       par_opts.num_threads = 4;
 
       auto naive =
-          SkylineScheduler(naive_opts).ScheduleDag(g, durations, place_optional);
+          skyline_ref::ScheduleDag(inc_opts, g, durations, place_optional);
       auto inc =
           SkylineScheduler(inc_opts).ScheduleDag(g, durations, place_optional);
       auto par =
@@ -134,9 +137,9 @@ class SchedEquivalenceTest : public ::testing::Test {
       ASSERT_TRUE(inc.ok());
       ASSERT_TRUE(par.ok());
       ASSERT_FALSE(inc->empty());
-      EXPECT_TRUE(IdenticalSkylines(*naive, *inc, naive_opts.quantum))
+      EXPECT_TRUE(IdenticalSkylines(*naive, *inc, inc_opts.quantum))
           << "naive vs incremental, seed " << seed;
-      EXPECT_TRUE(IdenticalSkylines(*inc, *par, naive_opts.quantum))
+      EXPECT_TRUE(IdenticalSkylines(*inc, *par, inc_opts.quantum))
           << "serial vs parallel, seed " << seed;
       for (const auto& s : *inc) {
         EXPECT_TRUE(testutil::ValidSchedule(g, s, durations,
@@ -173,20 +176,120 @@ TEST_F(SchedEquivalenceTest, ChainAndDiamondShapes) {
   for (bool place_optional : {false, true}) {
     for (Dag g : {testutil::Chain(6, 12, 100), testutil::Diamond(10, 20, 30, 10, 500)}) {
       auto durations = Durations(g);
-      SchedulerOptions naive_opts;
-      naive_opts.max_containers = 5;
-      naive_opts.use_naive_expansion = true;
-      SchedulerOptions inc_opts = naive_opts;
-      inc_opts.use_naive_expansion = false;
-      auto naive = SkylineScheduler(naive_opts).ScheduleDag(g, durations,
-                                                            place_optional);
+      SchedulerOptions opts;
+      opts.max_containers = 5;
+      auto naive = skyline_ref::ScheduleDag(opts, g, durations, place_optional);
       auto inc =
-          SkylineScheduler(inc_opts).ScheduleDag(g, durations, place_optional);
+          SkylineScheduler(opts).ScheduleDag(g, durations, place_optional);
       ASSERT_TRUE(naive.ok());
       ASSERT_TRUE(inc.ok());
-      EXPECT_TRUE(IdenticalSkylines(*naive, *inc, naive_opts.quantum));
+      EXPECT_TRUE(IdenticalSkylines(*naive, *inc, opts.quantum));
     }
   }
+}
+
+TEST(SchedulerOptionsTest, RejectsNonPositiveContainerCap) {
+  Dag g = testutil::Chain(2, 10);
+  auto durations = Durations(g);
+  for (int cap : {0, -3}) {
+    SchedulerOptions opts;
+    opts.max_containers = cap;
+    EXPECT_TRUE(SkylineScheduler(opts)
+                    .ScheduleDag(g, durations)
+                    .status()
+                    .IsInvalidArgument())
+        << "max_containers " << cap;
+    EXPECT_TRUE(HeteroSkylineScheduler(opts, {VmType{}})
+                    .ScheduleDag(g, durations)
+                    .status()
+                    .IsInvalidArgument())
+        << "max_containers " << cap;
+  }
+}
+
+/// Paper dataflows with candidate-index build ops appended (seeded gains),
+/// the way the tuner hands them to the interleaver. Capped at kMaxBuilds
+/// ops: a Cybershake catalog has thousands of partitions, far more than one
+/// decision ever offers.
+class InterleaveEquivalenceTest : public ::testing::Test {
+ protected:
+  void SetUp() override { ASSERT_TRUE(db_.Populate().ok()); }
+
+  void Combined(AppType app, uint64_t seed, Dag* g,
+                std::vector<Seconds>* durations) {
+    DataflowGenerator gen(&db_, seed);
+    Dataflow df = gen.Generate(app, 0, 0);
+    *g = df.dag;
+    Rng rng(seed);
+    int next_id = static_cast<int>(g->num_ops());
+    const size_t cap = g->num_ops() + kMaxBuilds;
+    for (const auto& idx : df.candidate_indexes) {
+      auto ops = MakeBuildIndexOps(catalog_, idx, 125.0, &next_id);
+      ASSERT_TRUE(ops.ok());
+      for (auto& op : *ops) {
+        if (g->num_ops() == cap) break;
+        op.gain = rng.Uniform(0.1, 5.0);
+        g->AddOperator(std::move(op));
+      }
+    }
+    std::vector<SimOpCost> costs;
+    BuildDataflowCosts(*g, df, catalog_, 125.0, durations, &costs);
+  }
+
+  static constexpr size_t kMaxBuilds = 60;
+  Catalog catalog_;
+  FileDatabase db_{&catalog_, FileDatabaseOptions{}};
+};
+
+TEST_F(InterleaveEquivalenceTest, FastestPointEqualsFrontOfPackedSkyline) {
+  SchedulerOptions opts;
+  opts.max_containers = 16;
+  opts.skyline_cap = 4;
+  // Build ops placed per mode (indexed by InterleaveMode): the comparison
+  // must cover real packing, not just empty slots.
+  int placed[3] = {0, 0, 0};
+  for (AppType app :
+       {AppType::kMontage, AppType::kLigo, AppType::kCybershake}) {
+    for (uint64_t seed : {3ull, 17ull}) {
+      Dag g;
+      std::vector<Seconds> durations;
+      Combined(app, seed, &g, &durations);
+      std::vector<int> build_ops;
+      for (const auto& op : g.ops()) {
+        if (op.optional) build_ops.push_back(op.id);
+      }
+      for (InterleaveMode mode : {InterleaveMode::kNone,
+                                  InterleaveMode::kOnline,
+                                  InterleaveMode::kLp}) {
+        for (double fraction : {1.0, 0.5}) {
+          Interleaver il(opts, mode);
+          auto got = il.Interleave(g, durations, fraction);
+          ASSERT_TRUE(got.ok());
+          auto skyline = SkylineScheduler(opts).ScheduleDag(
+              g, durations, mode == InterleaveMode::kOnline);
+          ASSERT_TRUE(skyline.ok());
+          ASSERT_FALSE(skyline->empty());
+          if (mode == InterleaveMode::kLp) {
+            for (auto& s : *skyline) {
+              s = il.PackIntoIdleSlots(std::move(s), g, durations, build_ops,
+                                       fraction);
+            }
+          }
+          const Schedule& want = skyline->front();
+          EXPECT_EQ(testutil::Entries(*got), testutil::Entries(want))
+              << AppTypeToString(app) << " seed " << seed << " mode "
+              << static_cast<int>(mode) << " fraction " << fraction;
+          EXPECT_EQ(got->makespan(), want.makespan());
+          for (const Assignment& a : got->assignments()) {
+            placed[static_cast<int>(mode)] += a.optional ? 1 : 0;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(placed[static_cast<int>(InterleaveMode::kLp)], 0);
+  EXPECT_GT(placed[static_cast<int>(InterleaveMode::kOnline)], 0);
+  EXPECT_EQ(placed[static_cast<int>(InterleaveMode::kNone)], 0);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace dfim {
 namespace {
 
@@ -98,18 +101,66 @@ TEST(ScheduleTest, OverlapDetection) {
   EXPECT_FALSE(negative.CheckNoOverlap());
 }
 
-TEST(ScheduleTest, ContainerTimelineSorted) {
+TEST(ScheduleTest, TimelinesSortedByStart) {
   Schedule s;
   s.Add(A(1, 0, 30, 40));
   s.Add(A(0, 0, 0, 10));
   s.Add(A(2, 1, 0, 5));
-  auto tl = s.ContainerTimeline(0);
+  ASSERT_EQ(s.timelines().size(), 2u);
+  const Timeline& tl = s.timelines()[0];
   ASSERT_EQ(tl.size(), 2u);
-  EXPECT_EQ(tl[0].op_id, 0);
-  EXPECT_EQ(tl[1].op_id, 1);
-  auto sorted = s.SortedByContainer();
-  EXPECT_EQ(sorted[0].container, 0);
-  EXPECT_EQ(sorted.back().container, 1);
+  EXPECT_EQ(tl.op_id(0), 0);
+  EXPECT_EQ(tl.op_id(1), 1);
+  // The view walks container by container, each in timeline order.
+  std::vector<Assignment> all(s.assignments().begin(), s.assignments().end());
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_EQ(all[0], A(0, 0, 0, 10));
+  EXPECT_EQ(all[1], A(1, 0, 30, 40));
+  EXPECT_EQ(all[2], A(2, 1, 0, 5));
+  EXPECT_EQ(s.assignments().size(), 3u);
+  EXPECT_EQ(s.size(), 3u);
+}
+
+TEST(ScheduleTest, EqualStartsInsertBeforeExisting) {
+  // Timeline::Insert puts a new entry before any equal start; BusySeconds
+  // sums in that order, so a schedule keeps it.
+  Schedule s;
+  s.Add(A(4, 0, 10, 10));
+  s.Add(A(2, 0, 10, 10));
+  const Timeline& tl = s.timelines()[0];
+  EXPECT_EQ(tl.op_id(0), 2);
+  EXPECT_EQ(tl.op_id(1), 4);
+}
+
+TEST(ScheduleTest, EmptyMiddleContainerStillLeasesOneQuantum) {
+  Schedule s;
+  s.Add(A(0, 0, 0, 61));   // 2 quanta
+  s.Add(A(1, 2, 0, 10));   // 1 quantum; container 1 holds nothing
+  EXPECT_EQ(s.num_containers(), 3);
+  EXPECT_TRUE(s.timelines()[1].empty());
+  EXPECT_EQ(s.LeasedQuanta(kQ), 4);
+  EXPECT_DOUBLE_EQ(s.last_end(1), 0);
+  EXPECT_DOUBLE_EQ(s.last_end(2), 10);
+  EXPECT_DOUBLE_EQ(s.last_end(7), 0);
+}
+
+TEST(ScheduleTest, AdoptedTimelinesDropTrailingEmptyOnes) {
+  std::vector<Timeline> tls(4);
+  tls[1].Insert(A(0, 1, 0, 10));
+  Schedule s(std::move(tls));
+  EXPECT_EQ(s.num_containers(), 2);
+  EXPECT_EQ(s.LeasedQuanta(kQ), 2);
+  EXPECT_EQ(Schedule(std::vector<Timeline>(3)).num_containers(), 0);
+}
+
+TEST(ScheduleTest, NegativeContainerIsRejectedNotStored) {
+  Schedule s;
+  s.Add(A(0, -1, 0, 10));
+  s.Add(A(1, -2, 0, 10));
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.num_containers(), 0);
+  ASSERT_TRUE(s.rejected().has_value());
+  EXPECT_EQ(*s.rejected(), A(0, -1, 0, 10));
 }
 
 TEST(ScheduleTest, AsciiArtHasRowPerContainer) {

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/service.h"
@@ -75,11 +76,12 @@ struct TwoContainerScenario {
   }
 };
 
-const Assignment* FindAssignment(const Schedule& s, int op_id, int container) {
-  for (const auto& a : s.assignments()) {
-    if (a.op_id == op_id && a.container == container) return &a;
+std::optional<Assignment> FindAssignment(const Schedule& s, int op_id,
+                                         int container) {
+  for (const Assignment& a : s.assignments()) {
+    if (a.op_id == op_id && a.container == container) return a;
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 TEST(SpeculationTest, CloneWinsInPaidIdleSlotWithoutExtraQuanta) {
@@ -108,13 +110,13 @@ TEST(SpeculationTest, CloneWinsInPaidIdleSlotWithoutExtraQuanta) {
   // The whole point: faster, for exactly the same bill.
   EXPECT_EQ(spec->leased_quanta, base->leased_quanta);
   // The clone shows up in the realized schedule on the healthy host...
-  const Assignment* clone = FindAssignment(spec->actual, 0, 1);
-  ASSERT_NE(clone, nullptr);
+  std::optional<Assignment> clone = FindAssignment(spec->actual, 0, 1);
+  ASSERT_TRUE(clone.has_value());
   EXPECT_NEAR(clone->start, 15.0, 1e-9);
   EXPECT_NEAR(clone->end, 25.0, 1e-9);
   // ...and the cancelled original frees its slot at the clone's finish.
-  const Assignment* orig = FindAssignment(spec->actual, 0, 0);
-  ASSERT_NE(orig, nullptr);
+  std::optional<Assignment> orig = FindAssignment(spec->actual, 0, 0);
+  ASSERT_TRUE(orig.has_value());
   EXPECT_NEAR(orig->end, 25.0, 1e-9);
   EXPECT_TRUE(spec->actual.CheckNoOverlap());
   EXPECT_TRUE(spec->complete);
@@ -141,8 +143,8 @@ TEST(SpeculationTest, LosingCloneCancelledWithSlotTimeReturned) {
   EXPECT_NEAR(r->spec_cancelled_seconds, 10.0, 1e-9);
   EXPECT_NEAR(r->makespan, 40.0, 1e-9);
   EXPECT_EQ(r->leased_quanta, 2);
-  const Assignment* clone = FindAssignment(r->actual, 0, 1);
-  ASSERT_NE(clone, nullptr);
+  std::optional<Assignment> clone = FindAssignment(r->actual, 0, 1);
+  ASSERT_TRUE(clone.has_value());
   EXPECT_NEAR(clone->start, 30.0, 1e-9);
   EXPECT_NEAR(clone->end, 40.0, 1e-9);  // occupancy ends at cancellation
 }
@@ -164,8 +166,8 @@ TEST(SpeculationTest, TieGoesToTheOriginalDeterministically) {
     EXPECT_EQ(r->spec_wins, 0) << "a tie must go to the original";
     EXPECT_EQ(r->spec_cancelled, 1);
     EXPECT_NEAR(r->makespan, 25.0, 1e-9);
-    const Assignment* orig = FindAssignment(r->actual, 0, 0);
-    ASSERT_NE(orig, nullptr);
+    std::optional<Assignment> orig = FindAssignment(r->actual, 0, 0);
+    ASSERT_TRUE(orig.has_value());
     EXPECT_NEAR(orig->end, 25.0, 1e-9);
   }
 }
@@ -191,8 +193,8 @@ TEST(SpeculationTest, EqualCandidatesBreakTiesByLowestContainer) {
   auto r = sim.Run(g, plan, CpuOnlyCosts(g), nullptr, &fi);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->spec_wins, 1);
-  EXPECT_NE(FindAssignment(r->actual, 0, 1), nullptr);
-  EXPECT_EQ(FindAssignment(r->actual, 0, 2), nullptr);
+  EXPECT_TRUE(FindAssignment(r->actual, 0, 1).has_value());
+  EXPECT_FALSE(FindAssignment(r->actual, 0, 2).has_value());
 }
 
 TEST(SpeculationTest, NoHealthyDrainedHostMeansNoClone) {
@@ -260,13 +262,7 @@ TEST(SpeculationTest, SpecOnWithHealthyTraceBitIdenticalToSpecOff) {
   EXPECT_EQ(base->executed_ops, spec->executed_ops);
   EXPECT_EQ(spec->ops_speculated, 0);
   EXPECT_EQ(spec->hedged_reads, 0);
-  ASSERT_EQ(base->actual.size(), spec->actual.size());
-  for (size_t i = 0; i < base->actual.size(); ++i) {
-    EXPECT_EQ(base->actual.assignments()[i].start,
-              spec->actual.assignments()[i].start);
-    EXPECT_EQ(base->actual.assignments()[i].end,
-              spec->actual.assignments()[i].end);
-  }
+  EXPECT_EQ(testutil::Entries(base->actual), testutil::Entries(spec->actual));
 }
 
 // ---- Hedged reads ----------------------------------------------------------

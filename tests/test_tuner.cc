@@ -79,12 +79,17 @@ TEST_F(TunerTest, OnDataflowProducesValidDecision) {
   EXPECT_GE(decision->combined.num_ops(), df.dag.num_ops());
   EXPECT_EQ(decision->durations.size(), decision->combined.num_ops());
   EXPECT_EQ(decision->costs.size(), decision->combined.num_ops());
-  EXPECT_FALSE(decision->skyline.empty());
   EXPECT_TRUE(decision->chosen.CheckNoOverlap());
-  // Fastest-first selection.
-  for (const auto& s : decision->skyline) {
+  // Fastest-first selection: no point of the dataflow's skyline is faster.
+  auto skyline = SkylineScheduler(opts_.sched)
+                     .ScheduleDag(decision->combined, decision->durations,
+                                  /*place_optional=*/false);
+  ASSERT_TRUE(skyline.ok());
+  ASSERT_FALSE(skyline->empty());
+  for (const auto& s : *skyline) {
     EXPECT_LE(decision->chosen.makespan(), s.makespan() + 1e-9);
   }
+  EXPECT_EQ(decision->chosen.makespan(), skyline->front().makespan());
   // All mandatory ops scheduled.
   size_t mandatory = 0;
   for (const auto& a : decision->chosen.assignments()) {
